@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
                      RefloraError, ZeroFactor)
-from .refactor import (LowRankFactors, RefactorMode, RefactorResult,
-                       balanced_mode, c_tilde, g_objective, geometric_mean_s,
+from .refactor import (Balance, LowRankFactors, RefactorMode, RefactorResult,
+                       balance, balanced_mode, c_tilde, g_objective, geometric_mean_s,
                        identity_mode, optimal_s, optimal_scalar, scalar_mode,
                        scalar_theorem_exact_mode, theorem_exact_mode,
                        upper_bound_eval)
@@ -29,7 +29,7 @@ __all__ = [
     "__version__",
     "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
     "ZeroFactor", "InvalidEta",
-    "LowRankFactors", "RefactorMode", "RefactorResult",
+    "LowRankFactors", "RefactorMode", "RefactorResult", "Balance", "balance",
     "balanced_mode", "theorem_exact_mode", "scalar_mode",
     "scalar_theorem_exact_mode", "identity_mode",
     "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",

@@ -7,7 +7,6 @@ timing probes. Divergence is data, not an error: a run whose loss blows up
 keeps logging so the curve can be plotted.
 """
 
-import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -15,9 +14,8 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import linalg, optim, problems, refactor, rng
-from .errors import (IllConditioned, NonSpdInput, RankDeficient, RefloraError,
-                     ZeroFactor)
+from . import optim, problems, refactor, rng
+from .errors import RefloraError
 from .linalg import Array, spectral_norm
 from .optim import GradientPair, OptimizerState, StepConfig
 from .problems import Problem
@@ -100,9 +98,9 @@ def build_problem(spec: RunSpec) -> Problem:
     return problem
 
 
-def _raw_gap(f: LowRankFactors) -> float:
-    ga = refactor.gram(f.a)
-    gb = refactor.gram(f.b)
+def _raw_gap(a: Array, b: Array) -> float:
+    ga = refactor.gram(a)
+    gb = refactor.gram(b)
     denom = float(np.linalg.norm(ga))
     if denom == 0.0:
         return 0.0
@@ -113,17 +111,15 @@ def balance_gap(f: LowRankFactors, method: str) -> float:
     """Relative Gram mismatch of the pair the method effectively trains.
 
     For the full refactoring this is the gap of the implicitly balanced
-    pair (A S^{1/2}, B S^{-1/2}); baselines report the raw factors' gap.
+    pair (A P, B P^{-T}) with P P^T = S; baselines, and a pair the kernel
+    judges rank-deficient, report the raw factors' gap.
     """
-    if method != optim.METHOD_REFLORA:
-        return _raw_gap(f)
-    try:
-        s = refactor.geometric_mean_s(f)
-        a_t = f.a @ linalg.spd_sqrt(s)
-        b_t = f.b @ linalg.spd_inv_sqrt(s)
-        return _raw_gap(LowRankFactors(a_t, b_t))
-    except (RankDeficient, ZeroFactor, NonSpdInput, IllConditioned, ValueError):
-        return _raw_gap(f)
+    if method == optim.METHOD_REFLORA:
+        k = refactor.balance(f)
+        if k.full_rank:
+            # P^{-T} = S^{-1} P
+            return _raw_gap(f.a @ k.root, f.b @ (k.s_inv @ k.root))
+    return _raw_gap(f.a, f.b)
 
 
 def _all_finite(f: LowRankFactors, gp: GradientPair, loss: float) -> bool:
@@ -139,9 +135,7 @@ def _take_step(f: LowRankFactors, gp: GradientPair, cfg: StepConfig,
     if method == optim.METHOD_LORA_GD:
         if cfg.optimizer == optim.GD:
             return optim.lora_gd_step(f, gp, cfg.eta), state
-        # plain adaptive updates are the identity-preconditioned path
-        id_cfg = dataclasses.replace(cfg, refactor_mode=refactor.identity_mode())
-        return optim.reflora_step(f, gp, id_cfg, state, t=t)
+        return optim._adaptive_pair(f, gp.g_a, gp.g_b, cfg, state)
     if method == optim.METHOD_REFLORA:
         return optim.reflora_step(f, gp, cfg, state, t=t)
     if method == optim.METHOD_REFLORA_S:
@@ -311,11 +305,11 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
                  + (spec.m + spec.n - 1) * g_spec ** 2 / (2.0 * lip))
         for mode_name in ("identity", "theorem-exact"):
             if mode_name == "identity":
-                s = np.eye(spec.r)
+                s = s_inv = np.eye(spec.r)
             else:
                 mode = refactor.theorem_exact_mode(lip, spec.root)
-                s = refactor.optimal_s(f, float(eta), mode).s_matrix
-            s_inv = np.linalg.inv(s)
+                res = refactor.optimal_s(f, float(eta), mode)
+                s, s_inv = res.s_matrix, res.s_inverse
             # preconditioned step, then the exact loss at the new factors
             a_new = f.a - eta * (g @ f.b) @ s_inv
             b_new = f.b - eta * (g.T @ f.a) @ s
@@ -425,7 +419,8 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
     Gradient pairs are synthetic, so only stepper arithmetic is timed and
     no m x n matrix is ever formed. The refactor-phase column isolates the
     per-step scale computation (the balanced matrix for the full method,
-    the norm ratio for the scalar one, the Gram inverses for ScaledGD).
+    the norm ratio for the scalar one, the refactor kernel that yields the
+    Gram inverses for ScaledGD).
     """
     if repeats < 10:
         raise ValueError("repeats must be at least 10")
@@ -453,9 +448,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
                 optim.METHOD_REFLORA: lambda: refactor.geometric_mean_s(f),
                 optim.METHOD_REFLORA_S: lambda: refactor.optimal_scalar(
                     f, eta, refactor.scalar_mode()),
-                optim.METHOD_SCALEDGD: lambda: (
-                    linalg.spd_inverse(refactor.gram(f.a)),
-                    linalg.spd_inverse(refactor.gram(f.b))),
+                optim.METHOD_SCALEDGD: lambda: refactor.balance(f),
             }
             medians = {name: _median_time_ns(fn, repeats)
                        for name, fn in steppers.items()}

@@ -1,8 +1,8 @@
-"""Dense kernels for SPD matrix functions and SVD-derived quantities.
+"""Dense SPD matrix functions and SVD-derived norms.
 
-Everything here targets small matrices (r <= 64 in practice), so matrix
-functions go through a symmetric eigendecomposition: robust over fast.
-All functions are pure and operate on plain float64 ndarrays.
+These are the independent references of the invariant suites and tests;
+the refactoring path itself uses `refactor.balance`. Matrix functions go
+through a symmetric eigendecomposition. All are pure float64 functions.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ Array = np.ndarray
 
 # Relative symmetry / positivity tolerance used when validating SPD inputs.
 SPD_EPS = 1e-12
-# Eigenvalues below COND_EPS * lambda_max may not be inverted; raising beats
-# silently regularizing, since the failure signals a rank-deficient factor.
+# spd_inv_sqrt refuses eigenvalues below COND_EPS * lambda_max: raising
+# beats silently regularizing a matrix that is numerically singular.
 COND_EPS = 1e-14
 
 
@@ -32,32 +32,6 @@ def check_finite(m: Array, name: str = "matrix") -> Array:
 def is_symmetric(m: Array, rel_tol: float = SPD_EPS) -> bool:
     """Entrywise symmetry test: |m[i,j] - m[j,i]| <= rel_tol * (1 + |m[i,j]|)."""
     return bool(np.all(np.abs(m - m.T) <= rel_tol * (1.0 + np.abs(m))))
-
-
-def check_spd(m: Array, rel_tol: float = SPD_EPS, name: str = "matrix") -> Array:
-    """Validate that `m` is symmetric positive definite.
-
-    Positivity is checked through the eigenvalue spread: the smallest
-    eigenvalue must exceed rel_tol times the largest.
-
-    Raises
-    ------
-    NonSpdInput
-        If `m` is not square, not symmetric within tolerance, or has an
-        eigenvalue at or below rel_tol * lambda_max.
-    """
-    m = check_finite(m, name)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSpdInput(f"{name} is not square: shape {m.shape}")
-    if not is_symmetric(m, rel_tol):
-        raise NonSpdInput(f"{name} is not symmetric within tolerance {rel_tol:g}")
-    w = np.linalg.eigvalsh(m)
-    if w[0] <= rel_tol * max(w[-1], 0.0):
-        raise NonSpdInput(
-            f"{name} is not positive definite: lambda_min={w[0]:.3e}, "
-            f"lambda_max={w[-1]:.3e}"
-        )
-    return m
 
 
 def _spd_eigh(m: Array, name: str) -> tuple[Array, Array]:
@@ -107,35 +81,11 @@ def spd_inv_sqrt(m: Array) -> Array:
     return sym((v / np.sqrt(w)) @ v.T)
 
 
-def spd_inverse(m: Array) -> Array:
-    """Inverse of an SPD matrix, with the same conditioning guard as
-    spd_inv_sqrt."""
-    w, v = _spd_eigh(m, "spd_inverse input")
-    if w[0] < COND_EPS * w[-1]:
-        raise IllConditioned(
-            f"eigenvalue ratio {w[0] / w[-1]:.3e} below {COND_EPS:g}"
-        )
-    return sym((v / w) @ v.T)
-
-
 def nonsym_psd_sqrt(x: Array, y: Array) -> Array:
-    """Square root of the (generally nonsymmetric) product x @ y of two SPD
-    matrices.
-
-    The product is similar to an SPD matrix, hence has a real positive
-    spectrum and a unique square root with positive spectrum, computed as
-
-        x^{1/2} (x^{1/2} y x^{1/2})^{1/2} x^{-1/2}.
-
-    Parameters
-    ----------
-    x, y : ndarray
-        SPD factors of the product. Validated on entry.
-
-    Returns
-    -------
-    ndarray
-        R with R @ R = x @ y.
+    """Square root R (R @ R = x @ y) of the generally nonsymmetric product of
+    two SPD matrices, which has a real positive spectrum and a unique root
+    with positive spectrum: x^{1/2} (x^{1/2} y x^{1/2})^{1/2} x^{-1/2}.
+    Both factors are validated on entry.
     """
     wx, vx = _spd_eigh(x, "nonsym_psd_sqrt first factor")
     _spd_eigh(y, "nonsym_psd_sqrt second factor")

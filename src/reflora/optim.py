@@ -3,10 +3,12 @@ refactored descent, the scalar-rescaling variant, ScaledGD, and the Adam /
 AdamW rule used by the adaptive paths.
 
 Steppers never form the m x n gradient; callers supply the factor
-gradients grad(W) @ B and grad(W).T @ A as a GradientPair, so per-step
-overhead stays O((m + n + r) r^2) for the full refactoring and
-O((m + n) r) for the scalar one. All transitions are pure: state in,
-state out.
+gradients grad(W) @ B and grad(W).T @ A as a GradientPair. The full
+refactoring and ScaledGD read S, S^{-1} and the inverse Grams from one
+call of the refactor kernel (`refactor.balance`: two Cholesky passes per
+factor and one r x r SVD), so their per-step overhead is
+O((m + n + r) r^2); the scalar variant costs O((m + n) r). All
+transitions are pure: state in, state out.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, refactor
+from . import refactor
 from .errors import RankDeficient, ZeroFactor
 from .linalg import Array
 from .refactor import LowRankFactors, RefactorMode
@@ -161,21 +163,19 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     so moments never need transforming.
 
     Within the first `cfg.warmup_steps` iterations a rank-deficient pair
-    falls back to a plain GD step; past warmup it is an error.
+    falls back to a plain GD step; past warmup it is an error. Identity mode
+    (S = I) never needs full rank.
     """
     grad_w_times.check_shapes(f)
-    if not f.is_full_rank():
+    try:
+        result = refactor.optimal_s(f, cfg.eta, cfg.refactor_mode)
+    except RankDeficient:
         if t < cfg.warmup_steps:
             return lora_gd_step(f, grad_w_times, cfg.eta), state
-        raise RankDeficient(
-            f"factors rank-deficient at iteration {t}, past warmup"
-        )
-
-    result = refactor.optimal_s(f, cfg.eta, cfg.refactor_mode)
-    s = result.s_matrix
-    s_inv = linalg.spd_inverse(s)
-    g_a = grad_w_times.g_a @ s_inv
-    g_b = grad_w_times.g_b @ s
+        raise RankDeficient(f"factors rank-deficient at iteration {t}, "
+                            "past warmup") from None
+    g_a = grad_w_times.g_a @ result.s_inverse
+    g_b = grad_w_times.g_b @ result.s_matrix
 
     if cfg.optimizer == GD:
         return LowRankFactors(f.a - cfg.eta * g_a, f.b - cfg.eta * g_b), state
@@ -196,11 +196,6 @@ def reflora_s_step(f: LowRankFactors, grad_w_times: GradientPair,
     second refactoring; the updated rescaled pair is the next iterate.
     """
     grad_w_times.check_shapes(f)
-    if float(np.sum(f.a * f.a)) == 0.0 or float(np.sum(f.b * f.b)) == 0.0:
-        if t < cfg.warmup_steps:
-            return lora_gd_step(f, grad_w_times, cfg.eta), state
-        raise ZeroFactor(f"zero-norm factor at iteration {t}, past warmup")
-
     mode = cfg.refactor_mode
     if not mode.is_scalar:
         if mode.kind == refactor.BALANCED:
@@ -209,36 +204,36 @@ def reflora_s_step(f: LowRankFactors, grad_w_times: GradientPair,
             mode = refactor.scalar_theorem_exact_mode(mode.lipschitz, mode.root)
         else:
             raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
-    s = refactor.optimal_scalar(f, cfg.eta, mode).s_scalar
+    try:
+        s = refactor.optimal_scalar(f, cfg.eta, mode).s_scalar
+    except ZeroFactor:
+        if t < cfg.warmup_steps:
+            return lora_gd_step(f, grad_w_times, cfg.eta), state
+        raise ZeroFactor(
+            f"zero-norm factor at iteration {t}, past warmup") from None
     rs = np.sqrt(s)
-
-    a_tilde = rs * f.a
-    b_tilde = f.b / rs
-    # gradients of the loss w.r.t. the rescaled factors
-    g_a = grad_w_times.g_a / rs
-    g_b = rs * grad_w_times.g_b
-
+    # the rescaled pair is (rs A, B / rs); its loss gradients are
+    # (g_a / rs, rs g_b)
     if cfg.optimizer == GD:
-        return LowRankFactors(a_tilde - cfg.eta * g_a,
-                              b_tilde - cfg.eta * g_b), state
+        return LowRankFactors(rs * f.a - (cfg.eta / rs) * grad_w_times.g_a,
+                              f.b / rs - (cfg.eta * rs) * grad_w_times.g_b), state
     if state is None:
         raise ValueError("adaptive optimizer needs an OptimizerState")
     state = dataclasses.replace(state,
                                 m_a=state.m_a / rs, v_a=state.v_a / s,
                                 m_b=state.m_b * rs, v_b=state.v_b * s)
-    f_tilde = LowRankFactors(a_tilde, b_tilde)
-    return _adaptive_pair(f_tilde, g_a, g_b, cfg, state)
+    return _adaptive_pair(LowRankFactors(rs * f.a, f.b / rs),
+                          grad_w_times.g_a / rs, rs * grad_w_times.g_b,
+                          cfg, state)
 
 
 def scaledgd_step(f: LowRankFactors, grad_w_times: GradientPair,
                   eta: float) -> LowRankFactors:
     """Baseline preconditioning by the inverse Gram matrices."""
     grad_w_times.check_shapes(f)
-    f.require_full_rank()
-    inv_gb = linalg.spd_inverse(refactor.gram(f.b))
-    inv_ga = linalg.spd_inverse(refactor.gram(f.a))
-    return LowRankFactors(f.a - eta * grad_w_times.g_a @ inv_gb,
-                          f.b - eta * grad_w_times.g_b @ inv_ga)
+    k = refactor.balance(f).require_full_rank()
+    return LowRankFactors(f.a - eta * grad_w_times.g_a @ k.gb_inv,
+                          f.b - eta * grad_w_times.g_b @ k.ga_inv)
 
 
 def horizontal_check(f: LowRankFactors, update: tuple[Array, Array]) -> float:
@@ -258,8 +253,8 @@ def horizontal_check(f: LowRankFactors, update: tuple[Array, Array]) -> float:
     u_a, u_b = update
     if u_a.shape != f.a.shape or u_b.shape != f.b.shape:
         raise ValueError("update shapes do not match factors")
-    s = refactor.geometric_mean_s(f)
-    s_inv = linalg.spd_inverse(s)
+    k = refactor.balance(f).require_full_rank()
+    s, s_inv = k.s, k.s_inv
     u_norm = np.sqrt(np.sum((u_a @ s) * u_a) + np.sum((u_b @ s_inv) * u_b))
     if u_norm == 0.0:
         return 0.0

@@ -7,6 +7,7 @@ exceeds its tolerance.
 """
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,19 @@ class PropResult:
 
 @contextlib.contextmanager
 def inject_refactor_fault():
-    """Flip the inner exponent sign in the balanced-matrix computation.
-
-    Mutation hook for verifying that the stationarity check actually bites.
-    """
-    refactor._FAULT_FLIP_EXPONENT = True
+    """Swap in a refactor kernel that returns S^{-1} as S, restoring the
+    real one on exit. S^{-1} is SPD too, so this verifies that the
+    stationarity-type checks bite."""
+    real = refactor.balance
+    refactor.balance = lambda f: _swap_s(real(f))
     try:
         yield
     finally:
-        refactor._FAULT_FLIP_EXPONENT = False
+        refactor.balance = real
+
+
+def _swap_s(k: refactor.Balance) -> refactor.Balance:
+    return dataclasses.replace(k, s=k.s_inv, s_inv=k.s) if k.full_rank else k
 
 
 def random_spd(gen: np.random.Generator, dim: int) -> Array:
@@ -243,12 +248,12 @@ def check_update_decomposition(gen, trials: int) -> PropResult:
     for _ in range(trials):
         f, grad = _random_instance(gen)
         gp = GradientPair(grad @ f.b, grad.T @ f.a)
-        s = refactor.geometric_mean_s(f)
+        k = refactor.balance(f)
         f_new, _ = optim.reflora_step(f, gp, cfg)
         dw = optim.delta_w(f, f_new)
         da = -eta * gp.g_a
         db = -eta * gp.g_b
-        expect = f.a @ s @ db.T + da @ np.linalg.inv(s) @ f.b.T + da @ db.T
+        expect = f.a @ k.s @ db.T + da @ k.s_inv @ f.b.T + da @ db.T
         worst = max(worst, rel(np.linalg.norm(dw - expect),
                                np.linalg.norm(expect)))
     return PropResult("optim.update_decomposition", worst, 1e-9)
@@ -294,9 +299,8 @@ def check_horizontal_update(gen, trials: int) -> PropResult:
     eta = 1e-2
     for _ in range(trials):
         f, grad = _random_instance(gen)
-        s = refactor.geometric_mean_s(f)
-        s_inv = np.linalg.inv(s)
-        update = (-eta * grad @ f.b @ s_inv, -eta * grad.T @ f.a @ s)
+        k = refactor.balance(f)
+        update = (-eta * grad @ f.b @ k.s_inv, -eta * grad.T @ f.a @ k.s)
         worst = max(worst, optim.horizontal_check(f, update))
     return PropResult("optim.horizontal_update", worst, 1e-8)
 

@@ -7,6 +7,9 @@ computes the S minimizing a quadratic upper bound on the post-step loss:
 the balanced choice (the matrix geometric mean of (A^T A)^{-1} and B^T B),
 the exact bound minimizer with its small-learning-rate scaling branch, and
 the scalar restriction S = s I, plus the bound evaluation itself.
+
+Every matrix quantity comes from one kernel, `balance`, which works on the
+R-factors of A and B and never forms A @ B.T or inverts a Gram matrix.
 """
 
 from dataclasses import dataclass
@@ -15,20 +18,14 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import InvalidEta, RankDeficient, ZeroFactor
+from .errors import InvalidEta, NonSpdInput, RankDeficient, ZeroFactor
 from .linalg import Array, sym
 
-# sigma_min / sigma_max ratio below which a factor counts as rank-deficient
-FULL_RANK_EPS = 1e-10
-
-# Above this size, the nuclear norm of A @ B.T is computed from the r x r
-# Gram product instead of the m x n matrix, so no large intermediate is
-# ever formed.
-_DENSE_NUCLEAR_LIMIT = 512
-
-# Test hook: props-report fault injection flips the inner exponent sign in
-# geometric_mean_s, which breaks stationarity without breaking positivity.
-_FAULT_FLIP_EXPONENT = False
+# The library's one rank criterion: a factor counts as rank-deficient when
+# 1 / (||R||_F ||R^-1||_F) of its R-factor, which lies within a factor r of
+# sigma_min / sigma_max, is at or below this ratio. Above it the balanced S
+# meets ||(A S)^T (A S) - B^T B|| <= 1e-8 ||B^T B||.
+FULL_RANK_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,19 +78,9 @@ class LowRankFactors:
         """The m x n increment A @ B.T."""
         return self.a @ self.b.T
 
-    def is_full_rank(self, eps: float = FULL_RANK_EPS) -> bool:
-        for f in (self.a, self.b):
-            s = np.linalg.svd(f, compute_uv=False)
-            if not s[0] > 0 or s[-1] <= eps * s[0]:
-                return False
-        return True
-
-    def require_full_rank(self, eps: float = FULL_RANK_EPS) -> None:
-        if not self.is_full_rank(eps):
-            raise RankDeficient(
-                "a factor has singular value ratio below "
-                f"{eps:g}; refactoring is undefined"
-            )
+    def is_full_rank(self) -> bool:
+        """The refactor kernel's rank verdict (see FULL_RANK_EPS)."""
+        return balance(self).full_rank
 
 
 BALANCED = "balanced"
@@ -175,7 +162,7 @@ class RefactorResult:
     2 ||A||_F ||B||_F for scalar modes. g_value is the bound objective
     ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2 evaluated at the returned S;
     on the balanced branch it equals c_tilde, on the small-eta branches it
-    equals 1 / (L eta).
+    equals 1 / (L eta). Matrix results carry S^{-1} in s_inverse.
     """
 
     branch: str
@@ -183,6 +170,7 @@ class RefactorResult:
     g_value: float
     s_matrix: Optional[Array] = None
     s_scalar: Optional[float] = None
+    s_inverse: Optional[Array] = None
 
     def __post_init__(self):
         if (self.s_matrix is None) == (self.s_scalar is None):
@@ -193,25 +181,104 @@ def gram(m: Array) -> Array:
     return sym(m.T @ m)
 
 
-def product_nuclear_norm(f: LowRankFactors,
-                         dense_limit: int = _DENSE_NUCLEAR_LIMIT) -> float:
-    """Nuclear norm of A @ B.T.
+@dataclass(frozen=True)
+class Balance:
+    """The refactor kernel's result for one factor pair.
 
-    Small problems take an SVD of the dense product. Past `dense_limit`
-    the singular values come from the r x r symmetric product
-    (A^T A)^{1/2} (B^T B) (A^T A)^{1/2}, whose eigenvalues are the squared
-    singular values of A @ B.T, so cost stays O((m + n + r) r^2).
+    full_rank is the library's rank verdict; c_tilde = 2 * sum of the
+    singular values of A @ B.T (nan for non-finite factors). Only for a
+    full-rank pair: s solves S (A^T A) S = B^T B, s_inv is its inverse,
+    root is a P with P P^T = S, so (A P, B P^{-T}) is the balanced pair,
+    and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}.
     """
-    if min(f.m, f.n) <= dense_limit:
-        return linalg.nuclear_norm(f.product())
-    ga_half = linalg.spd_sqrt(gram(f.a))
-    w = np.linalg.eigvalsh(sym(ga_half @ gram(f.b) @ ga_half))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+
+    full_rank: bool
+    c_tilde: float
+    s: Optional[Array] = None
+    s_inv: Optional[Array] = None
+    root: Optional[Array] = None
+    ga_inv: Optional[Array] = None
+    gb_inv: Optional[Array] = None
+
+    def require_full_rank(self) -> "Balance":
+        if not self.full_rank:
+            raise RankDeficient("a factor fails the rank criterion "
+                                f"{FULL_RANK_EPS:g}; refactoring is undefined")
+        return self
+
+
+def _r_factors(f: LowRankFactors) -> Optional[tuple[list[int], Array,
+                                                    Optional[Array]]]:
+    """Exponents, R-factors and R^{-1} with A = 2^ea Qa Ra, B = 2^eb Qb Rb.
+
+    Qa, Qb have orthonormal columns; Ra, Rb (and inverses) come stacked so
+    each LAPACK call serves both. The power-of-two scaling keeps the Grams
+    clear of overflow and underflow; CholeskyQR2 (two passes of Gram plus
+    Cholesky) makes the error grow as eps * cond, not eps * cond^2. If a
+    Gram is not numerically positive definite, each R is instead a root of
+    its Gram by eigendecomposition and R^{-1} is None. None if non-finite.
+    """
+    exps, xs = [], []
+    for x in (f.a, f.b):
+        peak = max(float(x.max()), -float(x.min()))
+        if not np.isfinite(peak):
+            return None
+        exps.append(int(np.frexp(peak)[1]))
+        xs.append(np.ldexp(x, -exps[-1]))
+    grams = np.stack([x.T @ x for x in xs])
+    try:
+        r1 = np.linalg.cholesky(grams).transpose(0, 2, 1)
+        r1_inv = np.linalg.inv(r1)
+        qs = [x @ ri for x, ri in zip(xs, r1_inv)]
+        r2 = np.linalg.cholesky(np.stack([q.T @ q for q in qs])).transpose(0, 2, 1)
+        return exps, r2 @ r1, r1_inv @ np.linalg.inv(r2)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(grams)
+        roots = np.sqrt(np.clip(w, 0.0, None))[..., None] * v.transpose(0, 2, 1)
+        return exps, roots, None
+
+
+def balance(f: LowRankFactors) -> Balance:
+    """The refactor kernel: S, S^{-1}, c_tilde and the rank verdict.
+
+    With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
+    Ra Rb^T = U Sigma W^T gives the balanced matrix
+
+        S = 2^(eb - ea) Ra^{-1} U Sigma U^T Ra^{-T},
+        S^{-1} = 2^(ea - eb) Ra^T U Sigma^{-1} U^T Ra,
+
+    and c_tilde = 2^(ea + eb + 1) sum(Sigma), since A @ B.T and Ra Rb^T
+    share their singular values. This is the square-root form of balancing
+    (Laub, Heath, Paige & Ward, IEEE TAC 1987). Cost is O((m + n) r^2).
+    """
+    factors = _r_factors(f)
+    if factors is None:
+        return Balance(False, float("nan"))
+    (ea, eb), r, r_inv = factors
+    ra, rb = r
+    u, sigma, _ = np.linalg.svd(ra @ rb.T)
+    ct = float(np.ldexp(2.0 * np.sum(sigma), ea + eb))
+    # a nan condition estimate compares False, so it counts as deficient
+    if r_inv is None or sigma[-1] <= 0.0 or not np.all(
+            np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
+            < 1.0 / FULL_RANK_EPS):
+        return Balance(False, ct)
+    ra_inv, rb_inv = r_inv
+    half = ra_inv @ (u * np.sqrt(sigma))
+    half_inv = (u / np.sqrt(sigma)).T @ ra
+    d = eb - ea
+    return Balance(
+        True, ct,
+        s=np.ldexp(half @ half.T, d),
+        s_inv=np.ldexp(half_inv.T @ half_inv, -d),
+        root=half * 2.0 ** (d / 2),
+        ga_inv=np.ldexp(ra_inv @ ra_inv.T, -2 * ea),
+        gb_inv=np.ldexp(rb_inv @ rb_inv.T, -2 * eb))
 
 
 def c_tilde(f: LowRankFactors) -> float:
     """Threshold constant: twice the nuclear norm of the increment."""
-    return 2.0 * product_nuclear_norm(f)
+    return balance(f).c_tilde
 
 
 def geometric_mean_s(f: LowRankFactors) -> Array:
@@ -227,19 +294,9 @@ def geometric_mean_s(f: LowRankFactors) -> Array:
     Raises
     ------
     RankDeficient
-        If either factor fails the full-column-rank check.
+        If either factor fails the kernel's rank verdict.
     """
-    f.require_full_rank()
-    ga = gram(f.a)
-    gb = gram(f.b)
-    ga_half = linalg.spd_sqrt(ga)
-    ga_inv_half = linalg.spd_inv_sqrt(ga)
-    inner = sym(ga_half @ gb @ ga_half)
-    if _FAULT_FLIP_EXPONENT:
-        core = linalg.spd_inv_sqrt(inner)
-    else:
-        core = linalg.spd_sqrt(inner)
-    return sym(ga_inv_half @ core @ ga_inv_half)
+    return balance(f).require_full_rank().s
 
 
 def _scaling_roots(x: float) -> tuple[float, float]:
@@ -255,21 +312,22 @@ def _scaling_roots(x: float) -> tuple[float, float]:
 def g_objective(f: LowRankFactors, s: Array) -> float:
     """Bound objective g(S) = ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2.
 
-    Evaluated through traces, tr(A^T A S) + tr(B^T B S^{-1}), which avoids
-    forming matrix roots. Always at least twice the nuclear norm of
+    Evaluated through traces, tr(A^T A S) + tr(B^T B S^{-1}), the second
+    from the Cholesky factor of S, so no matrix root is formed; a non-SPD
+    S raises NonSpdInput. Always at least twice the nuclear norm of
     A @ B.T, with equality exactly at the geometric mean.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (f.r, f.r):
         raise ValueError(f"S has shape {s.shape}, expected {(f.r, f.r)}")
-    s_inv = linalg.spd_inverse(s)
-    return float(np.sum(gram(f.a) * s) + np.sum(gram(f.b) * s_inv))
-
-
-def _scalar_g(f: LowRankFactors, s: float) -> float:
-    a2 = float(np.sum(f.a * f.a))
-    b2 = float(np.sum(f.b * f.b))
-    return a2 * s + b2 / s
+    if not linalg.is_symmetric(s):
+        raise NonSpdInput("S is not symmetric")
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError:
+        raise NonSpdInput("S is not positive definite") from None
+    # tr(B^T B S^{-1}) = ||L^{-1} B^T||_F^2 for S = L L^T
+    return float(np.sum(gram(f.a) * s) + np.sum((l_inv @ f.b.T) ** 2))
 
 
 def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
@@ -284,28 +342,26 @@ def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResu
     if mode.is_scalar:
         raise ValueError("scalar modes are handled by optimal_scalar")
 
+    k = balance(f)
     if mode.kind == IDENTITY:
-        s = np.eye(f.r)
-        return RefactorResult(
-            branch=BRANCH_IDENTITY,
-            c_tilde=c_tilde(f),
-            g_value=g_objective(f, s),
-            s_matrix=s,
-        )
+        eye = np.eye(f.r)
+        g = float(np.sum(f.a * f.a) + np.sum(f.b * f.b))
+        return RefactorResult(BRANCH_IDENTITY, k.c_tilde, g, s_matrix=eye,
+                              s_inverse=eye)
 
-    f.require_full_rank()
-    s_tilde = geometric_mean_s(f)
-    ct = c_tilde(f)
-
+    k.require_full_rank()
+    ct = k.c_tilde
+    balanced = RefactorResult(BRANCH_BALANCED, ct, ct, s_matrix=k.s,
+                              s_inverse=k.s_inv)
     if mode.kind == BALANCED:
-        return RefactorResult(BRANCH_BALANCED, ct, ct, s_matrix=s_tilde)
+        return balanced
 
     # theorem-exact
     lip = float(mode.lipschitz)
     if eta == 0.0:
         raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
     if eta < 0.0 or eta >= 1.0 / (ct * lip):
-        return RefactorResult(BRANCH_BALANCED, ct, ct, s_matrix=s_tilde)
+        return balanced
 
     x = 1.0 / (ct * lip * eta)
     gamma_plus, gamma_minus = _scaling_roots(x)
@@ -313,7 +369,8 @@ def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResu
         gamma, branch = gamma_plus, BRANCH_SMALL_ETA_PLUS
     else:
         gamma, branch = gamma_minus, BRANCH_SMALL_ETA_MINUS
-    return RefactorResult(branch, ct, 1.0 / (lip * eta), s_matrix=gamma * s_tilde)
+    return RefactorResult(branch, ct, 1.0 / (lip * eta), s_matrix=gamma * k.s,
+                          s_inverse=k.s_inv / gamma)
 
 
 def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
@@ -336,14 +393,14 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Refacto
 
     if mode.kind == SCALAR:
         s = norm_b / norm_a
-        return RefactorResult(BRANCH_BALANCED, ct, _scalar_g(f, s), s_scalar=s)
+        return RefactorResult(BRANCH_BALANCED, ct, a2 * s + b2 / s, s_scalar=s)
 
     lip = float(mode.lipschitz)
     if eta == 0.0:
         raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
     if eta < 0.0 or eta >= 1.0 / (ct * lip):
         s = norm_b / norm_a
-        return RefactorResult(BRANCH_BALANCED, ct, _scalar_g(f, s), s_scalar=s)
+        return RefactorResult(BRANCH_BALANCED, ct, a2 * s + b2 / s, s_scalar=s)
 
     x = 1.0 / (lip * eta)
     root = np.sqrt(max(x * x - 4.0 * a2 * b2, 0.0))

@@ -5,6 +5,7 @@ import pytest
 
 from reflora import harness, optim, problems
 from reflora.harness import BoundScanSpec, RunSpec
+from reflora.refactor import LowRankFactors
 
 
 def mf_spec(**kw):
@@ -112,6 +113,30 @@ class TestRun:
         harness.run(mf_spec(iterations=5, out=str(path)))
         text = path.read_text().splitlines()
         assert text[0] == harness.TRACE_HEADER
+
+
+class TestLoraAdam:
+    def test_adam_from_step_zero_without_rank_guard(self):
+        g = np.random.Generator(np.random.Philox(44))
+        problem, _ = problems.make_mf(12, 10, 3, seed=4)
+        f = problems.init_factors(12, 10, 3, seed=4)  # B = 0
+        cfg = optim.StepConfig(eta=0.01, method="lora", optimizer=optim.ADAM)
+        state = optim.OptimizerState.zeros(12, 10, 3)
+        f, state = harness._take_step(f, problem.grad_pair(f), cfg, state, 0)
+        assert state.step == 1
+        col = g.standard_normal((10, 1))
+        f = LowRankFactors(g.standard_normal((12, 3)),
+                           np.hstack([col, col, col]))
+        f, state = harness._take_step(f, problem.grad_pair(f), cfg, state, 5)
+        assert state.step == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_run_stays_finite(self, seed):
+        res = harness.run(RunSpec(problem="mf", m=128, n=100, r=8, seed=seed,
+                                  eta=0.01, method="lora", optimizer="adam",
+                                  sigma_b=0.0, iterations=750, log_every=50))
+        assert not res.diverged
+        assert all(np.isfinite(rec.loss) for rec in res.records)
 
 
 class TestCompare:

@@ -416,6 +416,28 @@ class TestEq4Decomposition:
             assert rel_err(optim.delta_w(f, f_new), expect) <= 1e-9
 
 
+class TestLapackCalls:
+    def test_balanced_step_decomposes_only_r_by_r(self, monkeypatch):
+        # one balanced GD step at 128 x 100, r = 8: every decomposition sees
+        # an r x r input (or a stack of them), with at most one SVD/eigh
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh", "cholesky", "qr"):
+            real = getattr(np.linalg, name)
+
+            def counted(x, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.shape(x)))
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        g = gen(43)
+        f = random_factors(g, 128, 100, 8)
+        gp = pair_from_dense(f, g.standard_normal((128, 100)))
+        optim.reflora_step(f, gp, StepConfig(eta=0.01, method=optim.METHOD_REFLORA))
+        assert calls
+        assert all(shape[-2:] == (8, 8) for _, shape in calls), calls
+        assert sum(name in ("svd", "eigh") for name, _ in calls) <= 1
+
+
 class TestStepConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

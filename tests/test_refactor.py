@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from reflora import linalg, refactor
+from reflora import linalg, optim, props, refactor, rng
 from reflora.errors import InvalidEta, RankDeficient, ZeroFactor
+from reflora.optim import GradientPair, StepConfig
 from reflora.refactor import LowRankFactors
 
 from conftest import gen, random_orthogonal, rel_err
@@ -265,12 +266,90 @@ class TestUpperBoundEval:
 
 class TestProductNuclearNorm:
     def test_paths_agree(self):
+        # the kernel's R-factor value against an SVD of the dense product
         g = gen(205)
         for _ in range(50):
             f = random_factors(g, 12, 9, 4)
-            dense = refactor.product_nuclear_norm(f, dense_limit=512)
-            gram = refactor.product_nuclear_norm(f, dense_limit=0)
-            assert gram == pytest.approx(dense, rel=1e-10)
+            dense = 2.0 * linalg.nuclear_norm(f.product())
+            assert refactor.c_tilde(f) == pytest.approx(dense, rel=1e-10)
+
+
+def near_singular_factors(rho, seed=0):
+    """A = Q diag(1, .5, .3, rho) V^T with orthonormal Q, V; random B."""
+    g = gen(300 + seed)
+    q = np.linalg.qr(g.standard_normal((20, 4)))[0]
+    v = random_orthogonal(g, 4)
+    a = q @ np.diag([1.0, 0.5, 0.3, rho]) @ v.T
+    return LowRankFactors(a, g.standard_normal((15, 4)))
+
+
+def stationarity(f, s):
+    # S (A^T A) S - B^T B with A S formed first: a rounded A^T A alone
+    # carries an error eps ||A||^2 that S (.) S would amplify by ||S||^2
+    gb = refactor.gram(f.b)
+    return rel_err(refactor.gram(f.a @ s), gb)
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("rho", [1e-6, 1e-7, 1e-9, 1e-11])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_verdict_matches_every_consumer(self, rho, seed):
+        f = near_singular_factors(rho, seed)
+        gp = GradientPair(np.ones_like(f.a), np.ones_like(f.b))
+        cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        consumers = [
+            lambda: refactor.geometric_mean_s(f),
+            lambda: refactor.optimal_s(f, 0.01, refactor.balanced_mode()).s_matrix,
+            lambda: refactor.optimal_s(
+                f, 1e-6, refactor.theorem_exact_mode(1.0)).s_matrix,
+            lambda: optim.reflora_step(f, gp, cfg, t=5),
+            lambda: optim.scaledgd_step(f, gp, 0.01),
+            lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
+        ]
+        full_rank = f.is_full_rank()
+        for consumer in consumers:
+            if full_rank:
+                consumer()
+            else:
+                with pytest.raises(RankDeficient):
+                    consumer()
+        if full_rank:
+            assert stationarity(f, refactor.geometric_mean_s(f)) <= 1e-8
+        assert full_rank == (rho >= 1e-7)
+
+    @pytest.mark.parametrize("c", [1e100, 1e-100])
+    def test_scale_covariance(self, c):
+        g = gen(206)
+        f = random_factors(g, 9, 7, 3)
+        scaled = LowRankFactors(c * f.a, c * f.b)
+        k, k_c = refactor.balance(f), refactor.balance(scaled)
+        assert k_c.full_rank
+        assert rel_err(k_c.s, k.s) <= 1e-12
+        assert rel_err(k_c.s_inv, k.s_inv) <= 1e-12
+        assert k_c.c_tilde == pytest.approx(c * c * k.c_tilde, rel=1e-12)
+
+    def test_inverses_and_root(self):
+        g = gen(207)
+        for _ in range(20):
+            f = random_factors(g, 10, 8, 3)
+            k = refactor.balance(f)
+            assert rel_err(k.s @ k.s_inv, np.eye(3)) <= 1e-12
+            assert rel_err(k.root @ k.root.T, k.s) <= 1e-12
+            assert rel_err(k.ga_inv @ refactor.gram(f.a), np.eye(3)) <= 1e-12
+            assert rel_err(k.gb_inv @ refactor.gram(f.b), np.eye(3)) <= 1e-12
+
+    def test_zero_and_non_finite_factors(self):
+        a = np.arange(6.0).reshape(3, 2) + np.eye(3, 2)
+        k = refactor.balance(LowRankFactors(a, np.zeros((4, 2))))
+        assert not k.full_rank and k.c_tilde == 0.0 and k.s is None
+        k = refactor.balance(LowRankFactors.unchecked(a, np.full((4, 2), np.nan)))
+        assert not k.full_rank and np.isnan(k.c_tilde)
+
+    def test_props_congruence_invariance_seeds(self):
+        for seed in range(24):
+            res = props.check_congruence_invariance(
+                rng.stream(seed, rng.STREAM_PROPS), 200)
+            assert res.passed, (seed, res.residual)
 
 
 class TestLowRankFactors:
