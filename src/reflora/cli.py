@@ -3,8 +3,10 @@
 Subcommands wrap the harness operations. Every flag can also come from a
 flat key=value config file (flags win), all randomness flows from a single
 --seed, and every output file starts with comment lines recording the tool
-version, the canonical command, the fully resolved config, and the seed,
-so any output can be regenerated from its own header.
+version, the canonical command, the fully resolved config, the numeric
+environment (numpy, BLAS, CPU count, thread variables) and the seed, so
+any output can be regenerated from its own header and its timing columns
+read against the machine that produced them.
 """
 
 import argparse
@@ -209,11 +211,33 @@ def _resolved_config(args: argparse.Namespace, command: str) -> list[tuple[str, 
     return pairs
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "REFLORA_THREADS")
+
+
+def _blas_name() -> str:
+    """BLAS name and version from numpy's build config, or "unknown"
+    (numpy before 1.26 has no dict form of show_config)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError, ValueError):
+        return "unknown"
+
+
+def _environment_line() -> str:
+    """The numeric environment timing columns depend on."""
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in THREAD_VARS)
+    return (f"numpy: {np.__version__}, blas: {_blas_name()}, "
+            f"cpus: {os.cpu_count()}, threads: {threads}")
+
+
 def _header_lines(args: argparse.Namespace, command: str) -> list[str]:
     pairs = _resolved_config(args, command)
     cmd = f"reflora {command} " + " ".join(f"--{k} {v}" for k, v in pairs)
     lines = [f"reflora {__version__}", f"command: {cmd}",
-             "config: " + " ".join(f"{k}={v}" for k, v in pairs)]
+             "config: " + " ".join(f"{k}={v}" for k, v in pairs),
+             _environment_line()]
     if hasattr(args, "seed"):
         lines.append(f"seed: {args.seed}")
     return lines

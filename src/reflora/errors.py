@@ -10,8 +10,10 @@ class NonSpdInput(RefloraError):
 
 
 class IllConditioned(RefloraError):
-    """Eigenvalue spread too extreme to invert safely; usually means a
-    factor lost full column rank."""
+    """A result is not representable in floating point: an eigenvalue
+    spread too extreme to invert safely (usually a factor lost full column
+    rank), or a refactoring matrix S or S^-1 outside the normal float
+    range (factor scales too far apart)."""
 
 
 class RankDeficient(RefloraError):

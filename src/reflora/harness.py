@@ -147,15 +147,19 @@ def _take_step(f: LowRankFactors, gp: GradientPair, cfg: StepConfig,
     raise ValueError(f"unknown method {method!r}")
 
 
-def run(spec: RunSpec) -> RunResult:
+def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
     """Execute a run and return its trace.
 
     Logs the state at step 0, every log_every-th step, and the final step.
     The diverged flag latches once the loss exceeds 1e6 times the initial
     loss or stops being finite; stepping continues so the divergent curve
-    is still recorded.
+    is still recorded. `problem`, if given, must be the instance `spec`
+    describes (as `compare` shares one); otherwise it is built here. Each
+    step makes one `value_and_grad` call: the loss after step t and the
+    gradient for step t + 1 are taken at the same factors.
     """
-    problem = build_problem(spec)
+    if problem is None:
+        problem = build_problem(spec)
     scale = 1.0 if spec.alpha is None else spec.alpha / spec.r
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
@@ -185,11 +189,10 @@ def run(spec: RunSpec) -> RunResult:
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = problem.loss_at_factors(f, scale)
+        loss, gp = problem.value_and_grad(f, scale)
         initial_loss = loss
         unchecked = False
         for t in range(spec.iterations):
-            gp = problem.grad_pair(f, scale)
             if t % spec.log_every == 0:
                 records.append(snapshot(t, loss, gp))
             t0 = time.perf_counter_ns()
@@ -209,12 +212,11 @@ def run(spec: RunSpec) -> RunResult:
                     f = LowRankFactors.unchecked(f.a - cfg.eta * gp.g_a,
                                                  f.b - cfg.eta * gp.g_b)
             last_step_ns = time.perf_counter_ns() - t0
-            loss = problem.loss_at_factors(f, scale)
+            loss, gp = problem.value_and_grad(f, scale)
             if not diverged and (not np.isfinite(loss)
                                  or loss > DIVERGENCE_FACTOR * initial_loss):
                 diverged = True
                 diverged_step = t + 1
-        gp = problem.grad_pair(f, scale)
         records.append(snapshot(spec.iterations, loss, gp))
 
     result = RunResult(spec=spec, records=records, diverged=diverged,
@@ -345,7 +347,8 @@ def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None
             ) -> CompareTable:
     """Run several specs on the same problem instance and join on step.
 
-    All specs must share the problem kind, dimensions, and seed. Member
+    All specs must share the problem kind, dimensions, and seed. The
+    instance is built once and shared, read-only, by every member. Member
     runs are independent and deterministic, so they may execute on a
     thread pool; the joined table is identical either way.
     """
@@ -357,11 +360,12 @@ def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None
         if (s.problem, s.m, s.n, s.k, s.r, s.seed) != key:
             raise ValueError("compare specs must share the problem instance "
                              "(kind, dims, seed)")
+    problem = build_problem(specs[0])
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, specs))
+            results = list(pool.map(lambda s: run(s, problem), specs))
     else:
-        results = [run(s) for s in specs]
+        results = [run(s, problem) for s in specs]
 
     seen: set = set()
     labels = [_run_label(s, i, seen) for i, s in enumerate(specs)]

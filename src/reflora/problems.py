@@ -2,8 +2,16 @@
 
 Both problems are quadratics, so their gradient-Lipschitz constants are
 exact: 1 for matrix factorization (loss carries the 1/2 factor) and the
-spectral norm of X X^T for whitened linear regression. The factor-gradient
-path never materializes the dense gradient when the structure permits.
+spectral norm of X X^T for whitened linear regression.
+
+The run loop reads a problem through one fused call, `value_and_grad`,
+which returns the loss and the factor gradients at the same factors and
+never forms an m x n array. Matrix factorization keeps its target in
+factored form, Y = U_r diag(s_r) V_r^T, and works on the r x r projections
+of the factors onto U_r and V_r, at O((m + n) r^2) per call; linear
+regression works on the m x k residual, at O((m + n) r k). The dense
+`loss(w)`, `grad(w)` and `full_weight` remain as the reference the tests
+check the fused call against.
 """
 
 import io
@@ -64,25 +72,41 @@ class Problem:
         raise NotImplementedError
 
     def full_weight(self, f: LowRankFactors, scale: float = 1.0) -> Array:
+        """The dense m x n weight W, for the dense reference path."""
         return self.w_pretrained + scale * f.product()
 
+    def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
+                       ) -> tuple[float, GradientPair]:
+        """Loss at W = w_pretrained + scale * A @ B.T and the chain-rule
+        factor gradients g_a = scale * grad(W) @ B and
+        g_b = scale * grad(W).T @ A, all at the same factors.
+        """
+        raise NotImplementedError
+
     def loss_at_factors(self, f: LowRankFactors, scale: float = 1.0) -> float:
-        return self.loss(self.full_weight(f, scale))
+        return self.value_and_grad(f, scale)[0]
 
     def grad_pair(self, f: LowRankFactors, scale: float = 1.0) -> GradientPair:
-        """Chain-rule factor gradients g_a = scale * grad(W) @ B and
-        g_b = scale * grad(W).T @ A."""
-        g = self.grad(self.full_weight(f, scale))
-        return GradientPair(scale * (g @ f.b), scale * (g.T @ f.a))
+        return self.value_and_grad(f, scale)[1]
 
 
 class MatrixFactorizationProblem(Problem):
-    """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1."""
+    """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1.
 
-    def __init__(self, y: Array):
+    The target is also held as Y = U diag(sigma) V^T with orthonormal U and
+    V: `make_mf` passes the truncated SVD it builds Y from, and any other
+    Y is factored here by one thin SVD.
+    """
+
+    def __init__(self, y: Array,
+                 factors: Optional[tuple[Array, Array, Array]] = None):
         m, n = y.shape
         super().__init__("mf", m, n, np.zeros((m, n)), lipschitz=1.0)
         self.y = y
+        if factors is None:
+            u, sigma, vt = np.linalg.svd(y, full_matrices=False)
+            factors = (u, sigma, vt.T)
+        self.u, self.sigma, self.v = (np.ascontiguousarray(x) for x in factors)
 
     def loss(self, w: Array) -> float:
         d = self.y - w
@@ -91,12 +115,37 @@ class MatrixFactorizationProblem(Problem):
     def grad(self, w: Array) -> Array:
         return w - self.y
 
-    def grad_pair(self, f: LowRankFactors, scale: float = 1.0) -> GradientPair:
-        # grad(W) @ B = scale * A (B^T B) - Y B: no m x n intermediate
-        c = scale * scale
-        g_a = c * f.a @ (f.b.T @ f.b) - scale * (self.y @ f.b)
-        g_b = c * f.b @ (f.a.T @ f.a) - scale * (self.y.T @ f.a)
-        return GradientPair(g_a, g_b)
+    def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
+                       ) -> tuple[float, GradientPair]:
+        """Projection form of the loss and gradient.
+
+        With b = scale * B, ca = U^T A, cb = V^T b and the residuals
+        A_perp = A - U ca, b_perp = b - V cb, the loss splits by
+        orthogonality into squared norms,
+
+            ||diag(sigma) - ca cb^T||^2 + ||ca b_perp^T||^2 + ||A_perp b^T||^2,
+
+        the last two through r x r Grams (||X Z^T||^2 = <X^T X, Z^T Z>).
+        No term cancels against another, so an exact fit reads ~eps^2 ||Y||^2
+        (the trace identity 0.5 ||Y||^2 - tr(A^T Y b) + ... would read
+        ~eps ||Y||^2). The gradients reuse ca, cb and the Gram of b:
+
+            g_a = A (b^T b) - U (sigma * cb),
+            g_b = scale (b (A^T A) - V (sigma * ca)).
+        """
+        a, b = f.a, scale * f.b
+        u, sigma, v = self.u, self.sigma, self.v
+        ca, cb = u.T @ a, v.T @ b
+        a_perp, b_perp = a - u @ ca, b - v @ cb
+        core = -(ca @ cb.T)
+        core.flat[::core.shape[1] + 1] += sigma
+        gb = b.T @ b
+        loss = 0.5 * float(np.vdot(core, core)
+                           + np.vdot(ca.T @ ca, b_perp.T @ b_perp)
+                           + np.vdot(a_perp.T @ a_perp, gb))
+        g_a = a @ gb - u @ (sigma[:, None] * cb)
+        g_b = scale * (b @ (a.T @ a) - v @ (sigma[:, None] * ca))
+        return loss, GradientPair(g_a, g_b)
 
 
 class LinearRegressionProblem(Problem):
@@ -114,6 +163,7 @@ class LinearRegressionProblem(Problem):
                          lipschitz=linalg.spectral_norm(xxt))
         self.x = x
         self.y = y
+        self._offset = w_pretrained @ x - y  # W_pt X - Y, m x k
 
     def loss(self, w: Array) -> float:
         d = self.y - w @ self.x
@@ -121,6 +171,17 @@ class LinearRegressionProblem(Problem):
 
     def grad(self, w: Array) -> Array:
         return (w @ self.x - self.y) @ self.x.T
+
+    def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
+                       ) -> tuple[float, GradientPair]:
+        """Through the m x k residual E = (W_pt X - Y) + scale * A (B^T X):
+        the loss is 0.5 ||E||^2, g_a = scale * E (X^T B) and
+        g_b = scale * X (E^T A)."""
+        x = self.x
+        e = self._offset + scale * (f.a @ (f.b.T @ x))
+        loss = 0.5 * float(np.sum(e * e))
+        return loss, GradientPair(scale * (e @ (x.T @ f.b)),
+                                  scale * (x @ (e.T @ f.a)))
 
 
 def make_mf(m: int, n: int, r: int, seed: int
@@ -137,7 +198,7 @@ def make_mf(m: int, n: int, r: int, seed: int
     u, s, vt = np.linalg.svd(full, full_matrices=False)
     y = (u[:, :r] * s[:r]) @ vt[:r]
     inst = MfInstance(y=y, m=m, n=n, r=r, seed=seed)
-    return MatrixFactorizationProblem(y), inst
+    return MatrixFactorizationProblem(y, (u[:, :r], s[:r], vt[:r].T)), inst
 
 
 def make_linreg(m: int, n: int, k: int, seed: int
@@ -163,12 +224,6 @@ def init_factors(m: int, n: int, r: int, seed: int, sigma_a: float = 1.0,
     a = sigma_a * gen.standard_normal((m, r))
     b = np.zeros((n, r)) if sigma_b == 0.0 else sigma_b * gen.standard_normal((n, r))
     return LowRankFactors(a, b)
-
-
-def grad_pair(problem: Problem, f: LowRankFactors,
-              scale: float = 1.0) -> GradientPair:
-    """Module-level alias for Problem.grad_pair."""
-    return problem.grad_pair(f, scale)
 
 
 # Text serialization for oracle cross-checking: one header line

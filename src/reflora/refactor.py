@@ -12,13 +12,15 @@ Every matrix quantity comes from one kernel, `balance`, which works on the
 R-factors of A and B and never forms A @ B.T or inverts a Gram matrix.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidEta, NonSpdInput, RankDeficient, ZeroFactor
+from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
+                     ZeroFactor)
 from .linalg import Array, sym
 
 # The library's one rank criterion: a factor counts as rank-deficient when
@@ -250,6 +252,14 @@ def balance(f: LowRankFactors) -> Balance:
     and c_tilde = 2^(ea + eb + 1) sum(Sigma), since A @ B.T and Ra Rb^T
     share their singular values. This is the square-root form of balancing
     (Laub, Heath, Paige & Ward, IEEE TAC 1987). Cost is O((m + n) r^2).
+
+    Raises
+    ------
+    IllConditioned
+        If the pair is full rank but S or S^{-1} leaves the normal float
+        range. S scales as ||B|| / ||A|| and S^{-1} as its inverse, so
+        this happens only once that ratio nears 1e-308 or 1e308, e.g. for
+        (1e160 A, 1e-160 B).
     """
     factors = _r_factors(f)
     if factors is None:
@@ -267,13 +277,29 @@ def balance(f: LowRankFactors) -> Balance:
     half = ra_inv @ (u * np.sqrt(sigma))
     half_inv = (u / np.sqrt(sigma)).T @ ra
     d = eb - ea
+    s, s_inv = half @ half.T, half_inv.T @ half_inv
+    # checked before scaling, so an out-of-range pair never reaches ldexp
+    if not (_scaled_in_range(s, d) and _scaled_in_range(s_inv, -d)):
+        raise IllConditioned(
+            "S or S^-1 leaves the normal float range: the factors' "
+            f"scales differ by about 2^{abs(d)}")
     return Balance(
         True, ct,
-        s=np.ldexp(half @ half.T, d),
-        s_inv=np.ldexp(half_inv.T @ half_inv, -d),
+        s=np.ldexp(s, d),
+        s_inv=np.ldexp(s_inv, -d),
         root=half * 2.0 ** (d / 2),
         ga_inv=np.ldexp(ra_inv @ ra_inv.T, -2 * ea),
         gb_inv=np.ldexp(rb_inv @ rb_inv.T, -2 * eb))
+
+
+def _scaled_in_range(spd: Array, e: int) -> bool:
+    """Whether 2^e * spd has a finite, normal largest entry.
+
+    An SPD matrix's largest entry is on its diagonal; with that entry
+    m 2^k (0.5 <= m < 1), 2^e m 2^k is normal and finite exactly when
+    -1021 <= k + e <= 1024.
+    """
+    return -1021 <= math.frexp(float(spd.diagonal().max()))[1] + e <= 1024
 
 
 def c_tilde(f: LowRankFactors) -> float:

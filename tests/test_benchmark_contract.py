@@ -1,0 +1,66 @@
+"""The library entry points the benchmark under perfbench/ calls.
+
+perfbench/probe_setup.py times `problems.make_mf(m, n, r, seed)` /
+`problems.make_linreg(m, n, k, seed)` plus
+`problems.init_factors(m, n, r, seed, sigma_a, sigma_b)`, and
+perfbench/worker.py measures `problem.loss_at_factors(f)` on the result and
+drives `reflora.cli.main(argv)`. A refactor that changes any of these
+breaks the benchmark, so they are pinned here.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from reflora import cli, problems
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_probe_setup():
+    spec = importlib.util.spec_from_file_location(
+        "probe_setup", PERFBENCH / "probe_setup.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_positional_signatures():
+    problem, inst = problems.make_mf(12, 10, 3, 5)
+    assert isinstance(problem, problems.Problem)
+    assert isinstance(inst, problems.MfInstance)
+    problem, inst = problems.make_linreg(2, 2, 2, 5)
+    assert isinstance(problem, problems.Problem)
+    assert isinstance(inst, problems.LinRegInstance)
+    f = problems.init_factors(12, 10, 3, 5, 1.0, 0.0)
+    assert f.a.shape == (12, 3) and f.b.shape == (10, 3)
+
+
+@pytest.mark.parametrize("instance", [
+    ("mf", 12, 10, 0, 3, 1.0, 0.0),
+    ("linreg", 2, 2, 2, 1, float(np.sqrt(10.0)), float(np.sqrt(0.1))),
+])
+def test_probe_setup_first_instance(instance):
+    problem, f = load_probe_setup().first_instance(*instance, 11)
+    loss = problem.loss_at_factors(f)
+    assert isinstance(loss, float) and np.isfinite(loss) and loss > 0.0
+    if instance[0] == "mf":
+        # zero-init B: the loss is half the target's squared norm
+        assert loss == pytest.approx(0.5 * np.sum(problem.y ** 2), rel=1e-12)
+
+
+def test_cli_main_returns_exit_code_and_writes_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["compare", "--methods", "lora,reflora", "--etas",
+                         "0.002", "--m", "12", "--n", "10", "--rank", "2",
+                         "--sigma-b", "0", "--log-every", "1", "--steps",
+                         "4", "--seed", "3"])
+    assert code == 0
+    body = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
+    assert "lora-eta0.002.loss" in body[0].split(",")
+    assert len(body) == 6

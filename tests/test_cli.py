@@ -1,3 +1,8 @@
+import os
+
+import numpy as np
+import pytest
+
 from reflora import cli
 
 
@@ -194,6 +199,35 @@ class TestCompareSubcommand:
                         "--n", "10", "--rank", "2", "--out", str(out)])
         assert code == 0
         assert len(read_body(out).splitlines()) == 10
+
+
+class TestEnvironmentHeader:
+    @pytest.mark.parametrize("argv", [
+        ["mf", "--steps", "3", "--m", "10", "--n", "8", "--rank", "2"],
+        ["compare", "--methods", "lora", "--steps", "3", "--m", "10",
+         "--n", "8", "--rank", "2"],
+        ["bound-scan", "--points", "5"],
+        ["overhead", "--dims", "16", "--ranks", "2"],
+    ])
+    def test_every_csv_records_the_environment(self, tmp_path, monkeypatch,
+                                               argv):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("REFLORA_THREADS", raising=False)
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        line = next(l for l in read_header(out) if l.startswith("# numpy: "))
+        assert line.startswith(f"# numpy: {np.__version__}, blas: ")
+        assert f"cpus: {os.cpu_count()}, " in line
+        assert line.endswith("threads: OPENBLAS_NUM_THREADS=1, "
+                             "OMP_NUM_THREADS=2, REFLORA_THREADS=unset")
+
+    def test_blas_unknown_without_config_dicts(self, monkeypatch):
+        # numpy before 1.26: show_config takes no mode argument
+        def old_show_config():
+            return None
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert ", blas: unknown, " in cli._environment_line()
 
 
 class TestOverheadSubcommand:

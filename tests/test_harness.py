@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from reflora import harness, optim, problems
+from reflora import harness, optim, problems, refactor
 from reflora.harness import BoundScanSpec, RunSpec
 from reflora.refactor import LowRankFactors
 
@@ -182,6 +182,90 @@ class TestCompare:
             for i, (a, b) in enumerate(zip(row_s, row_p)):
                 if i not in skip:
                     assert a == b
+
+
+    def test_instance_built_once(self, monkeypatch):
+        calls = []
+        make_mf = problems.make_mf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_mf(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "make_mf", counting)
+        specs = [mf_spec(method=m, iterations=10, label=m)
+                 for m in optim.METHODS]
+        table = harness.compare(specs, max_workers=2)
+        assert len(calls) == 1
+        assert len(table.rows) == 11
+
+
+class DenseWork(AssertionError):
+    pass
+
+
+def _forbidden(*args, **kwargs):
+    raise DenseWork("formed an m x n array")
+
+
+# every method/optimizer pair the CLI accepts
+CLI_PAIRS = ([(m, optim.GD) for m in optim.METHODS]
+             + [(m, opt) for opt in (optim.ADAM, optim.ADAMW)
+                for m in (optim.METHOD_LORA_GD, optim.METHOD_REFLORA,
+                          optim.METHOD_REFLORA_S)])
+
+
+class TestNoDenseWork:
+    """The run loop and compare never form W, A @ B.T or the dense gradient."""
+
+    SPECS = {
+        "mf": dict(problem="mf", m=24, n=20, r=3, eta=0.01),
+        "linreg": dict(problem="linreg", m=6, n=5, k=7, r=2, eta=0.005,
+                       sigma_b=0.3),
+    }
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense(self, monkeypatch):
+        monkeypatch.setattr(problems.Problem, "full_weight", _forbidden)
+        monkeypatch.setattr(refactor.LowRankFactors, "product", _forbidden)
+        for cls in (problems.MatrixFactorizationProblem,
+                    problems.LinearRegressionProblem):
+            monkeypatch.setattr(cls, "loss", _forbidden)
+            monkeypatch.setattr(cls, "grad", _forbidden)
+
+    def test_guard_bites(self):
+        problem, _ = problems.make_mf(6, 5, 2, seed=0)
+        f = problems.init_factors(6, 5, 2, seed=0)
+        with pytest.raises(DenseWork):
+            problem.loss(problem.y)
+        with pytest.raises(DenseWork):
+            f.product()
+
+    @pytest.mark.parametrize("kind", ["mf", "linreg"])
+    @pytest.mark.parametrize("method,optimizer", CLI_PAIRS)
+    def test_run(self, kind, method, optimizer):
+        res = harness.run(RunSpec(**self.SPECS[kind], seed=2, method=method,
+                                  optimizer=optimizer, iterations=30))
+        assert len(res.records) == 31
+
+    def test_one_fused_call_per_step(self, monkeypatch):
+        calls = []
+        fused = problems.MatrixFactorizationProblem.value_and_grad
+
+        def counting(self, f, scale=1.0):
+            calls.append(scale)
+            return fused(self, f, scale)
+
+        monkeypatch.setattr(problems.MatrixFactorizationProblem,
+                            "value_and_grad", counting)
+        harness.run(RunSpec(**self.SPECS["mf"], seed=2, iterations=30))
+        assert len(calls) == 31  # the initial point, then one per step
+
+    @pytest.mark.parametrize("kind", ["mf", "linreg"])
+    def test_compare(self, kind):
+        specs = [RunSpec(**self.SPECS[kind], seed=2, method=m, iterations=10,
+                         label=m) for m in optim.METHODS]
+        assert len(harness.compare(specs, max_workers=2).rows) == 11
 
 
 class TestBoundScan:

@@ -208,3 +208,95 @@ class TestSerialization:
         loaded2 = problems.load_instance(path2)
         assert np.array_equal(loaded2.x, linreg.x)
         assert np.array_equal(loaded2.y, linreg.y)
+
+
+def dense_value_and_grad(problem, f, scale):
+    """Oracle: the dense loss and gradient at the full weight."""
+    w = problem.full_weight(f, scale)
+    g = problem.grad(w)
+    return problem.loss(w), scale * (g @ f.b), scale * (g.T @ f.a)
+
+
+def exact_fit(inst, r):
+    u, s, vt = np.linalg.svd(inst.y, full_matrices=False)
+    return LowRankFactors(u[:, :r] * s[:r], vt[:r].T)
+
+
+class TestValueAndGrad:
+    @staticmethod
+    def cases():
+        g = gen(45)
+        mf, _ = problems.make_mf(14, 11, 3, seed=45)
+        wide = problems.MatrixFactorizationProblem(g.standard_normal((7, 12)))
+        tall = problems.MatrixFactorizationProblem(g.standard_normal((12, 7)))
+        x, y = g.standard_normal((6, 9)), g.standard_normal((5, 9))
+        linreg = problems.LinearRegressionProblem(x, y)
+        pretrained = problems.LinearRegressionProblem(
+            x, y, w_pretrained=g.standard_normal((5, 6)))
+        for problem, r in ((mf, 3), (wide, 2), (tall, 4), (linreg, 2),
+                           (pretrained, 2)):
+            for scale in (1.0, 0.3):
+                f = LowRankFactors(g.standard_normal((problem.m, r)),
+                                   g.standard_normal((problem.n, r)))
+                yield problem, f, scale
+                yield problem, LowRankFactors(f.a, np.zeros_like(f.b)), scale
+
+    def test_matches_dense_oracle(self):
+        for problem, f, scale in self.cases():
+            loss, gp = problem.value_and_grad(f, scale)
+            loss_ref, g_a, g_b = dense_value_and_grad(problem, f, scale)
+            # relative to the oracle, so a zero oracle gradient (B = 0 gives
+            # g_a = 0) must come out exactly zero
+            assert abs(loss - loss_ref) <= 1e-12 * loss_ref
+            assert np.linalg.norm(gp.g_a - g_a) <= 1e-12 * np.linalg.norm(g_a)
+            assert np.linalg.norm(gp.g_b - g_b) <= 1e-12 * np.linalg.norm(g_b)
+
+    def test_views_are_the_fused_call(self):
+        for problem, f, scale in self.cases():
+            loss, gp = problem.value_and_grad(f, scale)
+            assert problem.loss_at_factors(f, scale) == loss
+            pair = problem.grad_pair(f, scale)
+            assert np.array_equal(pair.g_a, gp.g_a)
+            assert np.array_equal(pair.g_b, gp.g_b)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_exact_fit(self, scale):
+        problem, inst = problems.make_mf(10, 8, 3, seed=5)
+        f = exact_fit(inst, 3)
+        f = LowRankFactors(f.a, f.b / scale)
+        loss, gp = problem.value_and_grad(f, scale)
+        _, g_a, g_b = dense_value_and_grad(problem, f, scale)
+        y2 = float(np.sum(inst.y ** 2))
+        assert 0.0 <= loss <= 1e-20 * y2
+        tol = 1e-12 * np.sqrt(y2)
+        assert np.linalg.norm(gp.g_a - g_a) <= tol * np.linalg.norm(f.b)
+        assert np.linalg.norm(gp.g_b - g_b) <= tol * np.linalg.norm(f.a)
+
+    def test_loss_never_negative(self):
+        # exact and near-exact fits under random changes of basis, where
+        # every term of the projection form is at roundoff level
+        g = gen(46)
+        for seed in range(200):
+            problem, inst = problems.make_mf(10, 8, 3, seed=seed)
+            f = exact_fit(inst, 3)
+            p = g.standard_normal((3, 3))
+            for eps in (0.0, 1e-14, 1e-9):
+                a = f.a @ p + eps * g.standard_normal(f.a.shape)
+                b = f.b @ np.linalg.inv(p).T
+                assert problem.loss_at_factors(LowRankFactors(a, b)) >= 0.0
+
+    def test_make_mf_target_unchanged(self):
+        # the instance, and so save_instance, are built as before: Y is the
+        # rank-r truncation of the instance stream's Gaussian matrix
+        from reflora import rng
+        problem, inst = problems.make_mf(13, 9, 4, seed=47)
+        full = rng.stream(47, rng.STREAM_INSTANCE).standard_normal((13, 9))
+        u, s, vt = np.linalg.svd(full, full_matrices=False)
+        assert np.array_equal(inst.y, (u[:, :4] * s[:4]) @ vt[:4])
+        assert problem.y is inst.y
+        assert np.array_equal(problem.sigma, s[:4])
+        y = (problem.u * problem.sigma) @ problem.v.T
+        assert rel_err(y, inst.y) <= 1e-14
+
+    def test_module_alias_removed(self):
+        assert not hasattr(problems, "grad_pair")

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from reflora import linalg, optim, props, refactor, rng
-from reflora.errors import InvalidEta, RankDeficient, ZeroFactor
+from reflora.errors import (IllConditioned, InvalidEta, RankDeficient,
+                            ZeroFactor)
 from reflora.optim import GradientPair, StepConfig
 from reflora.refactor import LowRankFactors
 
@@ -327,6 +330,33 @@ class TestKernelContract:
         assert rel_err(k_c.s, k.s) <= 1e-12
         assert rel_err(k_c.s_inv, k.s_inv) <= 1e-12
         assert k_c.c_tilde == pytest.approx(c * c * k.c_tilde, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e150, 1e-150, 1e160, 1e-160])
+    def test_extreme_scale_range(self, c):
+        # (cA, B/c) has S = S_0 / c^2: normal at 1e+-150, out of range at
+        # 1e+-160, where every entry point raises IllConditioned up front
+        g = gen(208)
+        f0 = random_factors(g, 9, 7, 3)
+        f = LowRankFactors(c * f0.a, f0.b / c)
+        gp = GradientPair(g.standard_normal((9, 3)) / c,
+                          g.standard_normal((7, 3)) * c)
+        cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        entry_points = [
+            lambda: refactor.balance(f),
+            lambda: optim.reflora_step(f, gp, cfg, t=5),
+            lambda: optim.scaledgd_step(f, gp, 0.01),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if abs(np.log10(c)) < 155:
+                k = refactor.balance(f)
+                assert rel_err(k.s * (c * c), refactor.balance(f0).s) <= 1e-12
+                for entry in entry_points:
+                    entry()
+            else:
+                for entry in entry_points:
+                    with pytest.raises(IllConditioned):
+                        entry()
 
     def test_inverses_and_root(self):
         g = gen(207)
