@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, harness, optim, props, refactor
 from .errors import RefloraError
+from .problems import Problem
 
 
 class UsageError(Exception):
@@ -305,18 +306,19 @@ def _check_run_flags(args) -> None:
         raise UsageError("--log-every: must be >= 1")
 
 
-def _problem_lipschitz(problem_kind: str, args) -> Optional[float]:
-    if problem_kind == "mf":
-        return 1.0
-    spec = harness.RunSpec(problem="linreg", m=args.m, n=args.n, k=args.k,
-                           r=args.rank, seed=args.seed, eta=1.0)
-    return harness.build_problem(spec).lipschitz
+def _build_problem(problem_kind: str, args) -> Problem:
+    """The one instance a run or compare command trains on."""
+    spec = harness.RunSpec(problem=problem_kind, m=args.m, n=args.n,
+                           k=getattr(args, "k", 0), r=args.rank,
+                           seed=args.seed, eta=1.0)
+    return harness.build_problem(spec)
 
 
 def _cmd_run(args, command: str) -> int:
     _check_run_flags(args)
     problem_kind = "mf" if command == "mf" else "linreg"
-    mode = _build_mode(args, _problem_lipschitz(problem_kind, args), args.method)
+    problem = _build_problem(problem_kind, args)
+    mode = _build_mode(args, problem.lipschitz, args.method)
     spec = harness.RunSpec(
         problem=problem_kind, m=args.m, n=args.n,
         k=getattr(args, "k", 0), r=args.rank, seed=args.seed, eta=args.eta,
@@ -324,7 +326,7 @@ def _cmd_run(args, command: str) -> int:
         warmup_steps=args.warmup, iterations=args.steps,
         log_every=args.log_every, sigma_a=args.sigma_a, sigma_b=args.sigma_b,
         weight_decay=args.weight_decay, alpha=args.alpha)
-    result = harness.run(spec)
+    result = harness.run(spec, problem)
     out, close = _open_out(args.out)
     try:
         harness.write_trace_csv(out, result.records,
@@ -368,15 +370,15 @@ def _cmd_compare(args) -> int:
     for method in methods:
         if method not in optim.METHODS:
             raise UsageError(f"--methods: unknown method {method!r}")
-    lip = _problem_lipschitz(args.problem, args)
+    if any(eta <= 0 for eta in etas):
+        raise UsageError("--etas: learning rates must be positive")
+    problem = _build_problem(args.problem, args)
     specs = []
     for method in methods:
         for eta in etas:
-            if eta <= 0:
-                raise UsageError("--etas: learning rates must be positive")
             ns = argparse.Namespace(**vars(args))
             ns.eta = eta
-            mode = _build_mode(ns, lip, method)
+            mode = _build_mode(ns, problem.lipschitz, method)
             specs.append(harness.RunSpec(
                 problem=args.problem, m=args.m, n=args.n, k=args.k,
                 r=args.rank, seed=args.seed, eta=eta, method=method,
@@ -387,7 +389,7 @@ def _cmd_compare(args) -> int:
                 alpha=args.alpha, label=f"{method}-eta{eta:g}"))
     workers_env = os.environ.get("REFLORA_THREADS", "")
     max_workers = int(workers_env) if workers_env else os.cpu_count()
-    table = harness.compare(specs, max_workers=max_workers)
+    table = harness.compare(specs, max_workers=max_workers, problem=problem)
     out, close = _open_out(args.out)
     try:
         harness.write_compare_csv(out, table, _header_lines(args, "compare"))

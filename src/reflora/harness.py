@@ -343,12 +343,13 @@ def _run_label(spec: RunSpec, index: int, seen: set) -> str:
     return label
 
 
-def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None
-            ) -> CompareTable:
+def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None,
+            problem: Optional[Problem] = None) -> CompareTable:
     """Run several specs on the same problem instance and join on step.
 
     All specs must share the problem kind, dimensions, and seed. The
-    instance is built once and shared, read-only, by every member. Member
+    instance, `problem` if given (it must be the one the specs describe),
+    is built at most once and shared, read-only, by every member. Member
     runs are independent and deterministic, so they may execute on a
     thread pool; the joined table is identical either way.
     """
@@ -360,7 +361,8 @@ def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None
         if (s.problem, s.m, s.n, s.k, s.r, s.seed) != key:
             raise ValueError("compare specs must share the problem instance "
                              "(kind, dims, seed)")
-    problem = build_problem(specs[0])
+    if problem is None:
+        problem = build_problem(specs[0])
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(lambda s: run(s, problem), specs))

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import refactor
-from .errors import RankDeficient, ZeroFactor
+from .errors import IllConditioned, RankDeficient, ZeroFactor
 from .linalg import Array
 from .refactor import LowRankFactors, RefactorMode
 
@@ -229,9 +229,16 @@ def reflora_s_step(f: LowRankFactors, grad_w_times: GradientPair,
 
 def scaledgd_step(f: LowRankFactors, grad_w_times: GradientPair,
                   eta: float) -> LowRankFactors:
-    """Baseline preconditioning by the inverse Gram matrices."""
+    """Baseline preconditioning by the inverse Gram matrices.
+
+    Raises IllConditioned, before any update, when an inverse Gram leaves
+    the normal float range.
+    """
     grad_w_times.check_shapes(f)
     k = refactor.balance(f).require_full_rank()
+    if k.ga_inv is None or k.gb_inv is None:
+        raise IllConditioned("an inverse Gram matrix leaves the normal float "
+                             "range; rescale the factors")
     return LowRankFactors(f.a - eta * grad_w_times.g_a @ k.gb_inv,
                           f.b - eta * grad_w_times.g_b @ k.ga_inv)
 

@@ -28,7 +28,14 @@ from .refactor import LowRankFactors
 
 @dataclass(frozen=True)
 class MfInstance:
-    """Rank-r target for min 0.5 * ||Y - A B^T||_F^2."""
+    """Rank-r target for min 0.5 * ||Y - A B^T||_F^2.
+
+    `make_mf` builds Y = U_r diag(sigma) V_r^T from independent draws of
+    the top r singular values of a Gaussian m x n matrix and of Haar
+    frames U_r, V_r. This is the distribution of that matrix's rank-r
+    truncation, since a Gaussian matrix's singular vectors are Haar and
+    independent of its singular values.
+    """
 
     y: Array
     m: int
@@ -94,8 +101,8 @@ class MatrixFactorizationProblem(Problem):
     """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1.
 
     The target is also held as Y = U diag(sigma) V^T with orthonormal U and
-    V: `make_mf` passes the truncated SVD it builds Y from, and any other
-    Y is factored here by one thin SVD.
+    V: `make_mf` passes the factors it builds Y from, and any other Y is
+    factored here by one thin SVD.
     """
 
     def __init__(self, y: Array,
@@ -186,19 +193,43 @@ class LinearRegressionProblem(Problem):
 
 def make_mf(m: int, n: int, r: int, seed: int
             ) -> tuple[MatrixFactorizationProblem, MfInstance]:
-    """Rank-r matrix-factorization instance.
+    """Rank-r matrix-factorization instance, built in factored form.
 
-    The target is a standard Gaussian matrix truncated to its largest r
-    singular values, drawn from the instance stream of `seed`.
+    The target has the distribution of a standard Gaussian m x n matrix
+    truncated to its largest r singular values, without computing any
+    singular vectors. A Gaussian matrix's singular vectors are Haar
+    distributed and independent of its singular values (Edelman & Rao,
+    Acta Numerica 2005), so the three parts are drawn separately from the
+    instance stream of `seed`:
+
+    - sigma: the square roots of the top r eigenvalues of the smaller Gram
+      of a Gaussian m x n matrix (its top r singular values);
+    - U_r (m x r), then V_r (n x r): the Q of a QR of a Gaussian matrix,
+      columns signed by diag(R), which makes Q Haar distributed (Mezzadri,
+      Notices AMS 2007).
+
+    Y = U_r diag(sigma) V_r^T, and the problem keeps (U_r, sigma, V_r).
+    Cost is one m x n draw and a min(m, n)^2 Gram with its eigenvalues.
     """
     if r > min(m, n) or m < 1 or n < 1:
         raise ValueError(f"invalid dims m={m}, n={n}, r={r}")
     gen = rng.stream(seed, rng.STREAM_INSTANCE)
     full = gen.standard_normal((m, n))
-    u, s, vt = np.linalg.svd(full, full_matrices=False)
-    y = (u[:, :r] * s[:r]) @ vt[:r]
+    gram = full.T @ full if m >= n else full @ full.T
+    del full
+    sigma = np.sqrt(np.linalg.eigvalsh(gram)[::-1][:r])
+    del gram
+    u = _haar_frame(gen, m, r)
+    v = _haar_frame(gen, n, r)
+    y = (u * sigma) @ v.T
     inst = MfInstance(y=y, m=m, n=n, r=r, seed=seed)
-    return MatrixFactorizationProblem(y, (u[:, :r], s[:r], vt[:r].T)), inst
+    return MatrixFactorizationProblem(y, (u, sigma, v)), inst
+
+
+def _haar_frame(gen: np.random.Generator, d: int, r: int) -> Array:
+    """A d x r matrix with Haar-distributed orthonormal columns."""
+    q, rr = np.linalg.qr(gen.standard_normal((d, r)))
+    return q * np.sign(np.diag(rr))
 
 
 def make_linreg(m: int, n: int, k: int, seed: int

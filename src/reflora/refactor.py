@@ -191,7 +191,9 @@ class Balance:
     singular values of A @ B.T (nan for non-finite factors). Only for a
     full-rank pair: s solves S (A^T A) S = B^T B, s_inv is its inverse,
     root is a P with P P^T = S, so (A P, B P^{-T}) is the balanced pair,
-    and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}.
+    and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}, each None when
+    it leaves the normal float range (e.g. for (1e-160 A, 1e-160 B), where
+    S is still representable).
     """
 
     full_rank: bool
@@ -288,8 +290,8 @@ def balance(f: LowRankFactors) -> Balance:
         s=np.ldexp(s, d),
         s_inv=np.ldexp(s_inv, -d),
         root=half * 2.0 ** (d / 2),
-        ga_inv=np.ldexp(ra_inv @ ra_inv.T, -2 * ea),
-        gb_inv=np.ldexp(rb_inv @ rb_inv.T, -2 * eb))
+        ga_inv=_scaled_or_none(ra_inv @ ra_inv.T, -2 * ea),
+        gb_inv=_scaled_or_none(rb_inv @ rb_inv.T, -2 * eb))
 
 
 def _scaled_in_range(spd: Array, e: int) -> bool:
@@ -300,6 +302,11 @@ def _scaled_in_range(spd: Array, e: int) -> bool:
     -1021 <= k + e <= 1024.
     """
     return -1021 <= math.frexp(float(spd.diagonal().max()))[1] + e <= 1024
+
+
+def _scaled_or_none(spd: Array, e: int) -> Optional[Array]:
+    """2^e * spd, or None if that leaves the normal float range."""
+    return np.ldexp(spd, e) if _scaled_in_range(spd, e) else None
 
 
 def c_tilde(f: LowRankFactors) -> float:

@@ -5,7 +5,10 @@ perfbench/probe_setup.py times `problems.make_mf(m, n, r, seed)` /
 `problems.init_factors(m, n, r, seed, sigma_a, sigma_b)`, and
 perfbench/worker.py measures `problem.loss_at_factors(f)` on the result and
 drives `reflora.cli.main(argv)`. A refactor that changes any of these
-breaks the benchmark, so they are pinned here.
+breaks the benchmark, so they are pinned here. perfbench/workloads.py
+checks each operation's output, including convergence of the members it
+marks; the mf-large gate is pinned here too, so a change of the instance
+cannot break it unnoticed.
 """
 
 import contextlib
@@ -21,12 +24,15 @@ from reflora import cli, problems
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_probe_setup():
-    spec = importlib.util.spec_from_file_location(
-        "probe_setup", PERFBENCH / "probe_setup.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_probe_setup():
+    return load_perfbench("probe_setup")
 
 
 def test_positional_signatures():
@@ -64,3 +70,19 @@ def test_cli_main_returns_exit_code_and_writes_stdout():
     body = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
     assert "lora-eta0.002.loss" in body[0].split(",")
     assert len(body) == 6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mf_large_reflora_converges(seed):
+    # the mf-large correctness gate: reflora/GD at 1024^2, eta 0.002, must
+    # reach TOL x its initial loss within the run (59-65 steps of 90 over
+    # 150 seeds of the instances make_mf builds), and every output check
+    # must pass
+    workloads = load_perfbench("workloads")
+    (op,) = workloads.build("mf-large", seed).ops
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(op.argv))
+    outcome = workloads.check(op, code, out.getvalue())
+    assert outcome.errors == []
+    assert outcome.steps_to_tol["reflora.gd"] <= workloads.MF_LARGE_STEPS

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from reflora import cli
+from reflora import cli, problems
 
 
 def run_cli(args, capsys=None):
@@ -199,6 +199,31 @@ class TestCompareSubcommand:
                         "--n", "10", "--rank", "2", "--out", str(out)])
         assert code == 0
         assert len(read_body(out).splitlines()) == 10
+
+
+class TestInstanceBuiltOnce:
+    @pytest.mark.parametrize("builder,argv", [
+        ("make_linreg", ["linreg", "--steps", "3"]),
+        ("make_linreg", ["linreg", "--steps", "3", "--mode", "theorem-exact"]),
+        ("make_linreg", ["compare", "--problem", "linreg", "--methods",
+                         "lora,reflora", "--etas", "0.01,0.02", "--steps", "3",
+                         "--m", "6", "--n", "5", "--rank", "2", "--k", "7"]),
+        ("make_mf", ["mf", "--steps", "3", "--m", "10", "--n", "8",
+                     "--rank", "2"]),
+        ("make_mf", ["compare", "--methods", "lora,reflora", "--etas", "0.01",
+                     "--steps", "3", "--m", "10", "--n", "8", "--rank", "2"]),
+    ])
+    def test_one_build_per_command(self, builder, argv, tmp_path, monkeypatch):
+        calls = []
+        build = getattr(problems, builder)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(problems, builder, counting)
+        assert run_cli(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestEnvironmentHeader:

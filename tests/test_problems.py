@@ -285,18 +285,43 @@ class TestValueAndGrad:
                 b = f.b @ np.linalg.inv(p).T
                 assert problem.loss_at_factors(LowRankFactors(a, b)) >= 0.0
 
-    def test_make_mf_target_unchanged(self):
-        # the instance, and so save_instance, are built as before: Y is the
-        # rank-r truncation of the instance stream's Gaussian matrix
+    def test_make_mf_factored_construction(self):
+        # Y = U_r diag(sigma) V_r^T: sigma from the Gram spectrum of the
+        # instance stream's Gaussian matrix, then U_r and V_r as sign-fixed
+        # QR frames of the next draws from the same stream
         from reflora import rng
-        problem, inst = problems.make_mf(13, 9, 4, seed=47)
-        full = rng.stream(47, rng.STREAM_INSTANCE).standard_normal((13, 9))
-        u, s, vt = np.linalg.svd(full, full_matrices=False)
-        assert np.array_equal(inst.y, (u[:, :4] * s[:4]) @ vt[:4])
-        assert problem.y is inst.y
-        assert np.array_equal(problem.sigma, s[:4])
-        y = (problem.u * problem.sigma) @ problem.v.T
-        assert rel_err(y, inst.y) <= 1e-14
+        for m, n in ((13, 9), (9, 13)):
+            problem, inst = problems.make_mf(m, n, 4, seed=47)
+            stream = rng.stream(47, rng.STREAM_INSTANCE)
+            full = stream.standard_normal((m, n))
+            gram = full.T @ full if m >= n else full @ full.T
+            sigma = np.sqrt(np.linalg.eigvalsh(gram)[::-1][:4])
+            frames = []
+            for d in (m, n):
+                q, r = np.linalg.qr(stream.standard_normal((d, 4)))
+                frames.append(q * np.sign(np.diag(r)))
+            u, v = frames
+            assert np.array_equal(problem.sigma, sigma)
+            assert np.array_equal(problem.u, u)
+            assert np.array_equal(problem.v, v)
+            assert np.array_equal(inst.y, (u * sigma) @ v.T)
+            assert problem.y is inst.y
+            # the singular values the old full SVD kept
+            s = np.linalg.svd(full, compute_uv=False)[:4]
+            assert np.max(np.abs(problem.sigma - s) / s) <= 1e-12
+            eye = np.eye(4)
+            assert np.max(np.abs(problem.u.T @ problem.u - eye)) <= 1e-14
+            assert np.max(np.abs(problem.v.T @ problem.v - eye)) <= 1e-14
+
+    def test_make_mf_computes_no_singular_vectors(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("make_mf called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        problem, inst = problems.make_mf(1024, 1024, 8, seed=3)
+        assert inst.y.shape == (1024, 1024)
+        assert problem.u.shape == (1024, 8) and problem.v.shape == (1024, 8)
+        assert np.all(np.diff(problem.sigma) <= 0.0)
 
     def test_module_alias_removed(self):
         assert not hasattr(problems, "grad_pair")

@@ -358,6 +358,31 @@ class TestKernelContract:
                     with pytest.raises(IllConditioned):
                         entry()
 
+    @pytest.mark.parametrize("ca,cb", [(1e-160, 1e-160), (1e-160, 1.0),
+                                       (1.0, 1e-160)])
+    def test_inverse_grams_out_of_range(self, ca, cb):
+        # S is in range but (A^T A)^{-1} or (B^T B)^{-1} is not: the kernel
+        # leaves that inverse None, ScaledGD raises IllConditioned up front
+        # and the refactored step, which does not use it, still works
+        g = gen(209)
+        f0 = random_factors(g, 9, 7, 3)
+        f = LowRankFactors(ca * f0.a, cb * f0.b)
+        # chain-rule scales: g_a = G B, g_b = G^T A
+        gp = GradientPair(g.standard_normal((9, 3)) * cb,
+                          g.standard_normal((7, 3)) * ca)
+        cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = refactor.balance(f)
+            assert k.full_rank
+            assert (k.ga_inv is None) == (ca < 1e-155)
+            assert (k.gb_inv is None) == (cb < 1e-155)
+            assert rel_err(k.s * (ca / cb), refactor.balance(f0).s) <= 1e-12
+            with pytest.raises(IllConditioned):
+                optim.scaledgd_step(f, gp, 0.01)
+            out, _ = optim.reflora_step(f, gp, cfg, t=5)
+            assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.b))
+
     def test_inverses_and_root(self):
         g = gen(207)
         for _ in range(20):
