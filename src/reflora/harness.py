@@ -122,9 +122,10 @@ def balance_gap(f: LowRankFactors, method: str) -> float:
     return _raw_gap(f.a, f.b)
 
 
-def _all_finite(f: LowRankFactors, gp: GradientPair, loss: float) -> bool:
+def _all_finite(gp: GradientPair, loss: float) -> bool:
+    # the factors need no check: until `run` latches to unchecked stepping
+    # they come from the validating constructor (init_factors or a stepper)
     return bool(np.isfinite(loss)
-                and np.all(np.isfinite(f.a)) and np.all(np.isfinite(f.b))
                 and np.all(np.isfinite(gp.g_a)) and np.all(np.isfinite(gp.g_b)))
 
 
@@ -196,7 +197,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             if t % spec.log_every == 0:
                 records.append(snapshot(t, loss, gp))
             t0 = time.perf_counter_ns()
-            if unchecked or not _all_finite(f, gp, loss):
+            if unchecked or not _all_finite(gp, loss):
                 # past representable divergence: keep the trace alive with
                 # raw GD arithmetic, which propagates inf/nan harmlessly
                 unchecked = True
@@ -408,12 +409,18 @@ class OverheadRow:
     refactor_phase_ns: float
 
 
-def _median_time_ns(fn, repeats: int) -> float:
-    fn()  # warm pass: caches, allocator
+def _median_time_ns(fn, f: LowRankFactors, repeats: int) -> float:
+    """Median time of fn(pair), each call on a fresh copy of `f`.
+
+    The copy is built outside the timed region and starts with no cached
+    kernel result, so every timed call pays for its own kernel run.
+    """
+    fn(LowRankFactors(f.a, f.b))  # warm pass: CPU caches, allocator
     times = []
     for _ in range(repeats):
+        pair = LowRankFactors(f.a, f.b)
         t0 = time.perf_counter_ns()
-        fn()
+        fn(pair)
         times.append(time.perf_counter_ns() - t0)
     return float(np.median(times))
 
@@ -426,7 +433,8 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
     no m x n matrix is ever formed. The refactor-phase column isolates the
     per-step scale computation (the balanced matrix for the full method,
     the norm ratio for the scalar one, the refactor kernel that yields the
-    Gram inverses for ScaledGD).
+    Gram inverses for ScaledGD). Every timed call gets a fresh pair, so
+    it times an uncached kernel run, as a step on a new iterate does.
     """
     if repeats < 10:
         raise ValueError("repeats must be at least 10")
@@ -443,25 +451,27 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
             cfg_scalar = StepConfig(eta=eta, method=optim.METHOD_REFLORA_S)
 
             steppers = {
-                optim.METHOD_LORA_GD: lambda: optim.lora_gd_step(f, gp, eta),
-                optim.METHOD_REFLORA: lambda: optim.reflora_step(f, gp, cfg_full),
-                optim.METHOD_REFLORA_S: lambda: optim.reflora_s_step(
-                    f, gp, cfg_scalar),
-                optim.METHOD_SCALEDGD: lambda: optim.scaledgd_step(f, gp, eta),
+                optim.METHOD_LORA_GD: lambda p: optim.lora_gd_step(p, gp, eta),
+                optim.METHOD_REFLORA: lambda p: optim.reflora_step(
+                    p, gp, cfg_full),
+                optim.METHOD_REFLORA_S: lambda p: optim.reflora_s_step(
+                    p, gp, cfg_scalar),
+                optim.METHOD_SCALEDGD: lambda p: optim.scaledgd_step(p, gp, eta),
             }
             phases = {
                 optim.METHOD_LORA_GD: None,
-                optim.METHOD_REFLORA: lambda: refactor.geometric_mean_s(f),
-                optim.METHOD_REFLORA_S: lambda: refactor.optimal_scalar(
-                    f, eta, refactor.scalar_mode()),
-                optim.METHOD_SCALEDGD: lambda: refactor.balance(f),
+                optim.METHOD_REFLORA: refactor.geometric_mean_s,
+                optim.METHOD_REFLORA_S: lambda p: refactor.optimal_scalar(
+                    p, eta, refactor.scalar_mode()),
+                optim.METHOD_SCALEDGD: refactor.balance,
             }
-            medians = {name: _median_time_ns(fn, repeats)
+            medians = {name: _median_time_ns(fn, f, repeats)
                        for name, fn in steppers.items()}
             base = medians[optim.METHOD_LORA_GD]
             for name in optim.METHODS:
                 phase_fn = phases[name]
-                phase = _median_time_ns(phase_fn, repeats) if phase_fn else 0.0
+                phase = (_median_time_ns(phase_fn, f, repeats)
+                         if phase_fn else 0.0)
                 rows.append(OverheadRow(
                     m=d, n=d, r=r, method=name,
                     median_step_ns=medians[name],

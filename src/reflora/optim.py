@@ -5,10 +5,12 @@ AdamW rule used by the adaptive paths.
 Steppers never form the m x n gradient; callers supply the factor
 gradients grad(W) @ B and grad(W).T @ A as a GradientPair. The full
 refactoring and ScaledGD read S, S^{-1} and the inverse Grams from one
-call of the refactor kernel (`refactor.balance`: two Cholesky passes per
+run of the refactor kernel (`refactor.balance`: two Cholesky passes per
 factor and one r x r SVD), so their per-step overhead is
-O((m + n + r) r^2); the scalar variant costs O((m + n) r). All
-transitions are pure: state in, state out.
+O((m + n + r) r^2); the scalar variant costs O((m + n) r). The kernel's
+result is cached on the immutable factor pair, so each iterate costs one
+kernel run, shared by the step, ScaledGD's warmup rank check and the
+harness's trace snapshot. All transitions are pure: state in, state out.
 """
 
 import dataclasses

@@ -13,7 +13,7 @@ R-factors of A and B and never forms A @ B.T or inverts a Gram matrix.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,10 +32,20 @@ FULL_RANK_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LowRankFactors:
-    """Factor pair (A, B) with A of shape (m, r) and B of shape (n, r)."""
+    """Factor pair (A, B) with A of shape (m, r) and B of shape (n, r).
+
+    The pair is immutable: a and b are read-only views of the arrays it
+    was built from (no copy is made, and the caller's arrays stay
+    writable), so `balance` computes its result once per pair and keeps
+    it on the instance. Writing to an array after building a pair from it
+    would leave that cached result stale; build a new pair instead.
+    """
 
     a: Array
     b: Array
+    # the refactor kernel's result for this pair, set by `balance`
+    _cached_balance: Optional["Balance"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = linalg.check_finite(self.a, "factor A")
@@ -48,8 +58,8 @@ class LowRankFactors:
             )
         if a.shape[1] > min(a.shape[0], b.shape[0]):
             raise ValueError("rank exceeds min(m, n)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _read_only(a))
+        object.__setattr__(self, "b", _read_only(b))
 
     @classmethod
     def unchecked(cls, a: Array, b: Array) -> "LowRankFactors":
@@ -60,8 +70,9 @@ class LowRankFactors:
         else should use the validating constructor.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "a", np.asarray(a, dtype=float))
-        object.__setattr__(obj, "b", np.asarray(b, dtype=float))
+        object.__setattr__(obj, "a", _read_only(np.asarray(a, dtype=float)))
+        object.__setattr__(obj, "b", _read_only(np.asarray(b, dtype=float)))
+        object.__setattr__(obj, "_cached_balance", None)
         return obj
 
     @property
@@ -83,6 +94,12 @@ class LowRankFactors:
     def is_full_rank(self) -> bool:
         """The refactor kernel's rank verdict (see FULL_RANK_EPS)."""
         return balance(self).full_rank
+
+
+def _read_only(x: Array) -> Array:
+    x = x.view()
+    x.flags.writeable = False
+    return x
 
 
 BALANCED = "balanced"
@@ -193,7 +210,9 @@ class Balance:
     root is a P with P P^T = S, so (A P, B P^{-T}) is the balanced pair,
     and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}, each None when
     it leaves the normal float range (e.g. for (1e-160 A, 1e-160 B), where
-    S is still representable).
+    S is still representable). `balance` computes it once per pair and
+    caches it on the immutable LowRankFactors, so every consumer of one
+    pair shares the same object, and its arrays are read-only.
     """
 
     full_rank: bool
@@ -203,6 +222,11 @@ class Balance:
     root: Optional[Array] = None
     ga_inv: Optional[Array] = None
     gb_inv: Optional[Array] = None
+
+    def __post_init__(self):
+        for x in (self.s, self.s_inv, self.root, self.ga_inv, self.gb_inv):
+            if x is not None:
+                x.flags.writeable = False
 
     def require_full_rank(self) -> "Balance":
         if not self.full_rank:
@@ -245,6 +269,21 @@ def _r_factors(f: LowRankFactors) -> Optional[tuple[list[int], Array,
 def balance(f: LowRankFactors) -> Balance:
     """The refactor kernel: S, S^{-1}, c_tilde and the rank verdict.
 
+    The result is computed on the first call for a pair and cached on it
+    (a LowRankFactors is immutable), so the step, the rank guard and the
+    trace snapshot of one iterate share one kernel run. IllConditioned is
+    not cached: it is raised again on every call.
+    """
+    k = f._cached_balance
+    if k is None:
+        k = _balance(f)
+        object.__setattr__(f, "_cached_balance", k)
+    return k
+
+
+def _balance(f: LowRankFactors) -> Balance:
+    """The uncached kernel behind `balance`.
+
     With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
     Ra Rb^T = U Sigma W^T gives the balanced matrix
 
@@ -269,7 +308,11 @@ def balance(f: LowRankFactors) -> Balance:
     (ea, eb), r, r_inv = factors
     ra, rb = r
     u, sigma, _ = np.linalg.svd(ra @ rb.T)
-    ct = float(np.ldexp(2.0 * np.sum(sigma), ea + eb))
+    total = 2.0 * float(np.sum(sigma))
+    # decided by exponents, like S below: past the float range c_tilde is
+    # inf, its correctly rounded value, and no overflow is signalled
+    ct = (math.inf if math.frexp(total)[1] + ea + eb > 1024
+          else math.ldexp(total, ea + eb))
     # a nan condition estimate compares False, so it counts as deficient
     if r_inv is None or sigma[-1] <= 0.0 or not np.all(
             np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))

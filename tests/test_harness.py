@@ -332,3 +332,43 @@ class TestOverheadProbe:
     def test_repeats_floor(self):
         with pytest.raises(ValueError):
             harness.overhead_probe([16], [2], repeats=5)
+
+
+class TestKernelRuns:
+    """The refactor kernel runs once per factor pair."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+        kernel = refactor._balance
+        monkeypatch.setattr(refactor, "_balance",
+                            lambda f: runs.append(f) or kernel(f))
+        return runs
+
+    @pytest.mark.parametrize("optimizer,log_every",
+                             [(optim.GD, 1), (optim.ADAM, 1), (optim.GD, 7)])
+    def test_reflora_one_run_per_iterate(self, runs, optimizer, log_every):
+        # the step and the trace snapshot of an iterate share one run; the
+        # final iterate is only snapshotted
+        harness.run(mf_spec(iterations=40, optimizer=optimizer,
+                            log_every=log_every))
+        assert len(runs) == 40 + 1
+
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.3])
+    def test_scaledgd_warmup_check_shares_the_step_run(self, runs, sigma_b):
+        # with B = 0 the t = 0 check fails and a GD step follows; otherwise
+        # ScaledGD steps at t = 0 on the check's run
+        harness.run(mf_spec(method="scaledgd", iterations=40, sigma_b=sigma_b))
+        assert len(runs) == 40
+
+    @pytest.mark.parametrize("points", [11, 201])
+    def test_bound_scan_one_run(self, runs, points):
+        harness.bound_scan(BoundScanSpec(points=points, seed=0))
+        assert len(runs) == 1
+
+    def test_overhead_probe_times_uncached_calls(self, runs):
+        # the reflora and ScaledGD steppers and their refactor phases each
+        # time `repeats` calls, every one on a fresh pair
+        repeats = 10
+        harness.overhead_probe([16], [2], repeats=repeats, seed=1)
+        assert len(runs) >= 4 * repeats

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -358,6 +359,45 @@ class TestKernelContract:
                     with pytest.raises(IllConditioned):
                         entry()
 
+    def test_c_tilde_past_float_range(self):
+        # (cA, cB) keeps S but scales c_tilde by c^2: at c = 1e160 it is
+        # inf, returned without an overflow warning; theorem-exact mode
+        # then sees 1 / (c_tilde L) = 0 and takes the balanced branch
+        g = gen(210)
+        f0 = random_factors(g, 9, 7, 3)
+        c = 1e160
+        f = LowRankFactors(c * f0.a, c * f0.b)
+        gp = GradientPair(g.standard_normal((9, 3)) * c,
+                          g.standard_normal((7, 3)) * c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = refactor.balance(f)
+            assert k.full_rank and k.c_tilde == np.inf
+            assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
+            assert refactor.c_tilde(f) == np.inf
+            res = refactor.optimal_s(f, 0.01, refactor.balanced_mode())
+            assert res.c_tilde == np.inf
+            res = refactor.optimal_s(f, 1e-6, refactor.theorem_exact_mode(1.0))
+            assert res.branch == refactor.BRANCH_BALANCED
+            for mode in (refactor.balanced_mode(),
+                         refactor.theorem_exact_mode(1.0)):
+                cfg = StepConfig(eta=1e-6, method=optim.METHOD_REFLORA,
+                                 refactor_mode=mode, warmup_steps=0)
+                out, _ = optim.reflora_step(f, gp, cfg, t=5)
+                assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.b))
+
+    @pytest.mark.parametrize("x,y,expected", [
+        (2.0 ** 600, 2.0 ** 423, np.inf),                   # 2^1024 overflows
+        (2.0 ** 600, 1.5 * 2.0 ** 422, 1.5 * 2.0 ** 1023),  # top binade
+        (2.0 ** -600, 2.0 ** -470, 2.0 ** -1069)])          # subnormal
+    def test_c_tilde_range_boundary(self, x, y, expected):
+        # c_tilde = 2 |x y| for a 1 x 1 pair; each value is a power of two
+        # times 1 or 1.5, so the kernel's result is exact
+        f = LowRankFactors(np.array([[x]]), np.array([[y]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert refactor.balance(f).c_tilde == expected
+
     @pytest.mark.parametrize("ca,cb", [(1e-160, 1e-160), (1e-160, 1.0),
                                        (1.0, 1e-160)])
     def test_inverse_grams_out_of_range(self, ca, cb):
@@ -417,6 +457,61 @@ class TestLowRankFactors:
     def test_finite_validation(self):
         with pytest.raises(ValueError):
             LowRankFactors(np.array([[np.inf], [1.0]]), np.ones((2, 1)))
+
+    def test_factors_are_read_only(self, rng):
+        a, b = rng.standard_normal((6, 2)), rng.standard_normal((5, 2))
+        for f in (LowRankFactors(a, b), LowRankFactors.unchecked(a, b)):
+            with pytest.raises(ValueError):
+                f.a[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                f.b[0, 0] = 1.0
+            assert np.shares_memory(f.a, a)  # a view, not a copy
+        a[0, 0] = 1.0  # the caller's arrays stay writable
+        b[0, 0] = 1.0
+
+    def test_balance_cached_per_pair(self, rng, monkeypatch):
+        runs = []
+        kernel = refactor._balance
+        monkeypatch.setattr(refactor, "_balance",
+                            lambda f: runs.append(f) or kernel(f))
+        f = random_factors(rng, 6, 5, 2)
+        k = refactor.balance(f)
+        assert refactor.balance(f) is k
+        assert f.is_full_rank() and refactor.geometric_mean_s(f) is k.s
+        assert refactor.c_tilde(f) == k.c_tilde
+        assert len(runs) == 1
+        with pytest.raises(ValueError):
+            k.s[0, 0] = 1.0
+        cache = {x.name: x for x in dataclasses.fields(f)}["_cached_balance"]
+        assert not (cache.init or cache.repr or cache.compare)
+        a = f.a.copy()
+        a[0, 0] += 1.0
+        g = LowRankFactors(a, f.b)
+        k2 = refactor.balance(g)
+        assert k2 is not k and len(runs) == 2
+        assert not np.array_equal(k2.s, k.s)
+        assert np.array_equal(k2.s, kernel(LowRankFactors(a, f.b)).s)
+
+    def test_ill_conditioned_not_cached(self, monkeypatch):
+        runs = []
+        kernel = refactor._balance
+        monkeypatch.setattr(refactor, "_balance",
+                            lambda f: runs.append(f) or kernel(f))
+        f0 = random_factors(gen(208), 9, 7, 3)
+        f = LowRankFactors(1e160 * f0.a, f0.b / 1e160)
+        for _ in range(2):
+            with pytest.raises(IllConditioned):
+                refactor.balance(f)
+        assert len(runs) == 2
+
+    def test_fault_injection_after_caching(self, rng):
+        f = random_factors(rng, 6, 5, 2)
+        k = refactor.balance(f)
+        with props.inject_refactor_fault():
+            assert np.array_equal(refactor.geometric_mean_s(f), k.s_inv)
+            assert np.array_equal(refactor.balance(f).s, k.s_inv)
+        assert refactor.balance(f) is k
+        assert refactor.geometric_mean_s(f) is k.s
 
     def test_full_rank_flag(self, rng):
         f = random_factors(rng, 6, 5, 2)
