@@ -18,8 +18,7 @@ from .refactor import (Balance, LowRankFactors, RefactorMode, RefactorResult,
                        scalar_theorem_exact_mode, theorem_exact_mode,
                        upper_bound_eval)
 from .optim import (GradientPair, OptimizerState, StepConfig, adam_update,
-                    delta_w, horizontal_check, lora_gd_step, reflora_s_step,
-                    reflora_step, scaledgd_step)
+                    delta_w, horizontal_check, reflora_step)
 from .problems import (LinRegInstance, MfInstance, Problem, init_factors,
                        make_linreg, make_mf)
 from .harness import (BoundScanSpec, RunResult, RunSpec, TraceRecord,
@@ -35,8 +34,7 @@ __all__ = [
     "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",
     "upper_bound_eval", "c_tilde",
     "GradientPair", "OptimizerState", "StepConfig",
-    "lora_gd_step", "delta_w", "reflora_step", "reflora_s_step",
-    "scaledgd_step", "adam_update", "horizontal_check",
+    "delta_w", "reflora_step", "adam_update", "horizontal_check",
     "Problem", "MfInstance", "LinRegInstance",
     "make_mf", "make_linreg", "init_factors",
     "RunSpec", "RunResult", "TraceRecord", "BoundScanSpec",

@@ -63,14 +63,16 @@ _RUN_FLAGS = [
     ("out", str, "-", "output CSV path, or - for stdout"),
 ]
 
+_MF_FLAGS = [
+    ("m", int, 128, "target rows"),
+    ("n", int, 100, "target columns"),
+    ("rank", int, 8, "factor rank"),
+    ("sigma-a", float, 1.0, "stddev of the A init"),
+    ("sigma-b", float, 0.0, "stddev of the B init (0 = zero init)"),
+]
+
 _FLAGS = {
-    "mf": [
-        ("m", int, 128, "target rows"),
-        ("n", int, 100, "target columns"),
-        ("rank", int, 8, "factor rank"),
-        ("sigma-a", float, 1.0, "stddev of the A init"),
-        ("sigma-b", float, 0.0, "stddev of the B init (0 = zero init)"),
-    ] + _RUN_FLAGS,
+    "mf": _MF_FLAGS + _RUN_FLAGS,
     "linreg": [
         ("m", int, 2, "output dimension"),
         ("n", int, 2, "input dimension"),
@@ -94,30 +96,11 @@ _FLAGS = {
         ("format", str, "csv", "output format (csv)"),
         ("out", str, "-", "output CSV path, or - for stdout"),
     ],
-    "compare": [
-        ("problem", str, "mf", "mf | linreg"),
-        ("m", int, 128, "target rows"),
-        ("n", int, 100, "target columns"),
+    "compare": [("problem", str, "mf", "mf | linreg")] + _MF_FLAGS + [
         ("k", int, 2, "sample count (linreg only)"),
-        ("rank", int, 8, "factor rank"),
-        ("seed", int, 0, "base seed"),
-        ("sigma-a", float, 1.0, "stddev of the A init"),
-        ("sigma-b", float, 0.0, "stddev of the B init"),
         ("methods", str, "lora,reflora,scaledgd", "comma-separated methods"),
         ("etas", str, "0.01", "comma-separated learning rates"),
-        ("optimizer", str, "gd", "gd | adam | adamw"),
-        ("mode", str, "balanced", "refactor mode for reflora methods"),
-        ("root", str, "plus", "root choice in theorem-exact modes"),
-        ("lipschitz", float, None, "Lipschitz constant for theorem-exact"),
-        ("warmup", int, 1, "warmup steps"),
-        ("steps", int, 2000, "iterations"),
-        ("log-every", int, 1, "record every k-th step"),
-        ("weight-decay", float, 0.0, "adamw decoupled weight decay"),
-        ("alpha", float, None,
-         "adapter scale: increment enters as (alpha/rank) A B^T"),
-        ("format", str, "csv", "output format (csv)"),
-        ("out", str, "-", "output CSV path, or - for stdout"),
-    ],
+    ] + [flag for flag in _RUN_FLAGS if flag[0] not in ("eta", "method")],
     "overhead": [
         ("dims", str, "2048", "comma-separated square dimensions"),
         ("ranks", str, "8,32", "comma-separated ranks"),
@@ -212,7 +195,7 @@ def _resolved_config(args: argparse.Namespace, command: str) -> list[tuple[str, 
     return pairs
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "REFLORA_THREADS")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _blas_name() -> str:
@@ -250,31 +233,19 @@ def _open_out(path: str):
     return open(path, "w"), True
 
 
-def _build_mode(args, problem_lipschitz: Optional[float],
-                method: str) -> refactor.RefactorMode:
+def _build_mode(args, problem_lipschitz: Optional[float]) -> refactor.RefactorMode:
     mode = args.mode
     root = args.root
     if root not in (refactor.ROOT_PLUS, refactor.ROOT_MINUS):
         raise UsageError(f"--root: expected plus or minus, got {root!r}")
     if mode not in ("balanced", "theorem-exact", "identity"):
         raise UsageError(f"--mode: unknown mode {mode!r}")
-    if method == optim.METHOD_REFLORA_S and mode == "identity":
-        raise UsageError("--mode: identity makes reflora-s a no-op; "
-                         "use --method lora instead")
     if mode == "theorem-exact":
         lip = args.lipschitz if args.lipschitz is not None else problem_lipschitz
         if lip is None or lip <= 0:
             raise UsageError("--lipschitz: theorem-exact mode needs a positive "
                              "Lipschitz constant")
-        if args.eta == 0:
-            raise UsageError("--eta: eta = 0 is the jump discontinuity of the "
-                             "optimal refactoring; the bound minimizer is "
-                             "undefined there")
-        if method == optim.METHOD_REFLORA_S:
-            return refactor.scalar_theorem_exact_mode(lip, root)
         return refactor.theorem_exact_mode(lip, root)
-    if method == optim.METHOD_REFLORA_S:
-        return refactor.scalar_mode()
     if mode == "identity":
         return refactor.identity_mode()
     return refactor.balanced_mode()
@@ -285,21 +256,23 @@ def _check_format(args) -> None:
         raise UsageError(f"--format: only csv is supported, got {args.format!r}")
 
 
-def _check_run_flags(args) -> None:
+def _check_run_flags(args, methods: Sequence[str], method_flag: str) -> None:
+    """The flags `mf`, `linreg` and `compare` share, and their methods."""
     _check_format(args)
-    if args.method not in optim.METHODS:
-        raise UsageError(f"--method: unknown method {args.method!r}")
+    for method in methods:
+        if method not in optim.METHODS:
+            raise UsageError(f"--{method_flag}: unknown method {method!r}")
     if args.optimizer not in optim.OPTIMIZERS:
         raise UsageError(f"--optimizer: unknown optimizer {args.optimizer!r}")
-    if args.method == optim.METHOD_SCALEDGD and args.optimizer != optim.GD:
+    if optim.METHOD_SCALEDGD in methods and args.optimizer != optim.GD:
         raise UsageError("--optimizer: scaledgd is a plain-GD baseline")
-    if args.eta == 0 and args.mode == "theorem-exact":
-        raise UsageError("--eta: eta = 0 is the jump discontinuity of the "
-                         "optimal refactoring; the bound minimizer is "
-                         "undefined there")
-    if args.eta <= 0:
-        raise UsageError("--eta: optimizers need a positive learning rate "
-                         "(bound-scan supports negative grids)")
+    if optim.METHOD_REFLORA_S in methods and args.mode == "identity":
+        raise UsageError("--mode: identity makes reflora-s a no-op; "
+                         "use --method lora instead")
+    if args.rank < 1:
+        raise UsageError("--rank: need at least 1")
+    if args.warmup < 0:
+        raise UsageError("--warmup: must be >= 0")
     if args.steps < 1:
         raise UsageError("--steps: need at least one iteration")
     if args.log_every < 1:
@@ -315,10 +288,17 @@ def _build_problem(problem_kind: str, args) -> Problem:
 
 
 def _cmd_run(args, command: str) -> int:
-    _check_run_flags(args)
+    _check_run_flags(args, [args.method], "method")
+    if args.eta == 0 and args.mode == "theorem-exact":
+        raise UsageError("--eta: eta = 0 is the jump discontinuity of the "
+                         "optimal refactoring; the bound minimizer is "
+                         "undefined there")
+    if args.eta <= 0:
+        raise UsageError("--eta: optimizers need a positive learning rate "
+                         "(bound-scan supports negative grids)")
     problem_kind = "mf" if command == "mf" else "linreg"
     problem = _build_problem(problem_kind, args)
-    mode = _build_mode(args, problem.lipschitz, args.method)
+    mode = _build_mode(args, problem.lipschitz)
     spec = harness.RunSpec(
         problem=problem_kind, m=args.m, n=args.n,
         k=getattr(args, "k", 0), r=args.rank, seed=args.seed, eta=args.eta,
@@ -360,25 +340,20 @@ def _cmd_bound_scan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_format(args)
     if args.problem not in ("mf", "linreg"):
         raise UsageError(f"--problem: unknown problem {args.problem!r}")
     methods = _str_list(args.methods)
     etas = _float_list(args.etas)
     if not methods or not etas:
         raise UsageError("--methods/--etas: need at least one of each")
-    for method in methods:
-        if method not in optim.METHODS:
-            raise UsageError(f"--methods: unknown method {method!r}")
+    _check_run_flags(args, methods, "methods")
     if any(eta <= 0 for eta in etas):
         raise UsageError("--etas: learning rates must be positive")
     problem = _build_problem(args.problem, args)
+    mode = _build_mode(args, problem.lipschitz)
     specs = []
     for method in methods:
         for eta in etas:
-            ns = argparse.Namespace(**vars(args))
-            ns.eta = eta
-            mode = _build_mode(ns, problem.lipschitz, method)
             specs.append(harness.RunSpec(
                 problem=args.problem, m=args.m, n=args.n, k=args.k,
                 r=args.rank, seed=args.seed, eta=eta, method=method,
@@ -387,9 +362,7 @@ def _cmd_compare(args) -> int:
                 log_every=args.log_every, sigma_a=args.sigma_a,
                 sigma_b=args.sigma_b, weight_decay=args.weight_decay,
                 alpha=args.alpha, label=f"{method}-eta{eta:g}"))
-    workers_env = os.environ.get("REFLORA_THREADS", "")
-    max_workers = int(workers_env) if workers_env else os.cpu_count()
-    table = harness.compare(specs, max_workers=max_workers, problem=problem)
+    table = harness.compare(specs, problem=problem)
     out, close = _open_out(args.out)
     try:
         harness.write_compare_csv(out, table, _header_lines(args, "compare"))

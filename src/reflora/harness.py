@@ -8,7 +8,6 @@ keeps logging so the curve can be plotted.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
@@ -129,25 +128,6 @@ def _all_finite(gp: GradientPair, loss: float) -> bool:
                 and np.all(np.isfinite(gp.g_a)) and np.all(np.isfinite(gp.g_b)))
 
 
-def _take_step(f: LowRankFactors, gp: GradientPair, cfg: StepConfig,
-               state: Optional[OptimizerState], t: int
-               ) -> tuple[LowRankFactors, Optional[OptimizerState]]:
-    method = cfg.method
-    if method == optim.METHOD_LORA_GD:
-        if cfg.optimizer == optim.GD:
-            return optim.lora_gd_step(f, gp, cfg.eta), state
-        return optim._adaptive_pair(f, gp.g_a, gp.g_b, cfg, state)
-    if method == optim.METHOD_REFLORA:
-        return optim.reflora_step(f, gp, cfg, state, t=t)
-    if method == optim.METHOD_REFLORA_S:
-        return optim.reflora_s_step(f, gp, cfg, state, t=t)
-    if method == optim.METHOD_SCALEDGD:
-        if t < cfg.warmup_steps and not f.is_full_rank():
-            return optim.lora_gd_step(f, gp, cfg.eta), state
-        return optim.scaledgd_step(f, gp, cfg.eta), state
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
     """Execute a run and return its trace.
 
@@ -197,21 +177,19 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             if t % spec.log_every == 0:
                 records.append(snapshot(t, loss, gp))
             t0 = time.perf_counter_ns()
-            if unchecked or not _all_finite(gp, loss):
-                # past representable divergence: keep the trace alive with
-                # raw GD arithmetic, which propagates inf/nan harmlessly
-                unchecked = True
-                f = LowRankFactors.unchecked(f.a - cfg.eta * gp.g_a,
-                                             f.b - cfg.eta * gp.g_b)
-            else:
+            unchecked = unchecked or not _all_finite(gp, loss)
+            if not unchecked:
                 try:
-                    f, state = _take_step(f, gp, cfg, state, t)
+                    f, state = optim.reflora_step(f, gp, cfg, state, t)
                 except (RefloraError, ValueError, np.linalg.LinAlgError):
                     if not diverged:
                         raise
                     unchecked = True
-                    f = LowRankFactors.unchecked(f.a - cfg.eta * gp.g_a,
-                                                 f.b - cfg.eta * gp.g_b)
+            if unchecked:
+                # past representable divergence: keep the trace alive with
+                # raw GD arithmetic, which propagates inf/nan harmlessly
+                f = LowRankFactors.unchecked(f.a - cfg.eta * gp.g_a,
+                                             f.b - cfg.eta * gp.g_b)
             last_step_ns = time.perf_counter_ns() - t0
             loss, gp = problem.value_and_grad(f, scale)
             if not diverged and (not np.isfinite(loss)
@@ -318,7 +296,7 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
             b_new = f.b - eta * (g.T @ f.a) @ s
             true_loss = problem.loss(problem.w_pretrained + a_new @ b_new.T)
             bound = refactor.upper_bound_eval(f, s, float(eta), lip, g_spec,
-                                              loss_now, const)
+                                              const)
             m_term = f.a @ s @ (f.a.T @ g) + g @ f.b @ s_inv @ f.b.T
             remainder = -lip * eta ** 3 * float(np.sum(m_term * r_term))
             rows.append(BoundScanRow(eta=float(eta), mode=mode_name,
@@ -344,15 +322,14 @@ def _run_label(spec: RunSpec, index: int, seen: set) -> str:
     return label
 
 
-def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None,
+def compare(specs: Sequence[RunSpec],
             problem: Optional[Problem] = None) -> CompareTable:
     """Run several specs on the same problem instance and join on step.
 
     All specs must share the problem kind, dimensions, and seed. The
     instance, `problem` if given (it must be the one the specs describe),
-    is built at most once and shared, read-only, by every member. Member
-    runs are independent and deterministic, so they may execute on a
-    thread pool; the joined table is identical either way.
+    is built at most once and shared, read-only, by every member. Members
+    run one after another, and each is deterministic.
     """
     if not specs:
         raise ValueError("compare needs at least one spec")
@@ -364,11 +341,7 @@ def compare(specs: Sequence[RunSpec], max_workers: Optional[int] = None,
                              "(kind, dims, seed)")
     if problem is None:
         problem = build_problem(specs[0])
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda s: run(s, problem), specs))
-    else:
-        results = [run(s, problem) for s in specs]
+    results = [run(s, problem) for s in specs]
 
     seen: set = set()
     labels = [_run_label(s, i, seen) for i, s in enumerate(specs)]
@@ -447,16 +420,10 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
             gp = GradientPair(gen.standard_normal((d, r)),
                               gen.standard_normal((d, r)))
             eta = 1e-3
-            cfg_full = StepConfig(eta=eta, method=optim.METHOD_REFLORA)
-            cfg_scalar = StepConfig(eta=eta, method=optim.METHOD_REFLORA_S)
-
             steppers = {
-                optim.METHOD_LORA_GD: lambda p: optim.lora_gd_step(p, gp, eta),
-                optim.METHOD_REFLORA: lambda p: optim.reflora_step(
-                    p, gp, cfg_full),
-                optim.METHOD_REFLORA_S: lambda p: optim.reflora_s_step(
-                    p, gp, cfg_scalar),
-                optim.METHOD_SCALEDGD: lambda p: optim.scaledgd_step(p, gp, eta),
+                name: lambda p, cfg=StepConfig(eta=eta, method=name):
+                    optim.reflora_step(p, gp, cfg)
+                for name in optim.METHODS
             }
             phases = {
                 optim.METHOD_LORA_GD: None,

@@ -1,16 +1,19 @@
-"""Steppers for the factor pair: plain gradient descent, preconditioned
-refactored descent, the scalar-rescaling variant, ScaledGD, and the Adam /
-AdamW rule used by the adaptive paths.
+"""One stepper for every method: a method table over a shared update rule.
 
-Steppers never form the m x n gradient; callers supply the factor
-gradients grad(W) @ B and grad(W).T @ A as a GradientPair. The full
-refactoring and ScaledGD read S, S^{-1} and the inverse Grams from one
-run of the refactor kernel (`refactor.balance`: two Cholesky passes per
-factor and one r x r SVD), so their per-step overhead is
-O((m + n + r) r^2); the scalar variant costs O((m + n) r). The kernel's
-result is cached on the immutable factor pair, so each iterate costs one
-kernel run, shared by the step, ScaledGD's warmup rank check and the
-harness's trace snapshot. All transitions are pure: state in, state out.
+A method is data: its METHODS entry says how to precondition the factor
+gradients, and `reflora_step` does the rest once for every method: the
+shape check, the warmup fallback to plain GD, and the update rule, GD or
+the bias-corrected Adam / AdamW of `adam_update`.
+
+The stepper never forms the m x n gradient; callers supply the factor
+gradients grad(W) @ B and grad(W).T @ A as a GradientPair. `reflora` and
+`scaledgd` read S, S^{-1} and the inverse Grams from one run of the
+refactor kernel (`refactor.balance`: two Cholesky passes per factor and
+one r x r SVD), so their per-step overhead is O((m + n + r) r^2); the
+scalar variant costs O((m + n) r). The kernel's result is cached on the
+immutable factor pair, so each iterate costs one kernel run, shared by
+the step and the harness's trace snapshot. All transitions are pure:
+state in, state out.
 """
 
 import dataclasses
@@ -33,7 +36,6 @@ METHOD_REFLORA = "reflora"
 METHOD_REFLORA_S = "reflora-s"
 METHOD_SCALEDGD = "scaledgd"
 
-METHODS = (METHOD_LORA_GD, METHOD_REFLORA, METHOD_REFLORA_S, METHOD_SCALEDGD)
 OPTIMIZERS = (GD, ADAM, ADAMW)
 
 
@@ -57,7 +59,7 @@ class StepConfig:
     """Per-run stepping configuration."""
 
     eta: float
-    method: str = METHOD_LORA_GD
+    method: str = METHOD_REFLORA
     optimizer: str = GD
     refactor_mode: RefactorMode = dataclasses.field(
         default_factory=refactor.balanced_mode)
@@ -117,35 +119,6 @@ def adam_update(param: Array, grad: Array, m: Array, v: Array, step: int,
     return param, m, v
 
 
-def _adaptive_pair(f: LowRankFactors, g_a: Array, g_b: Array,
-                   cfg: StepConfig, state: OptimizerState,
-                   base_a: Optional[Array] = None,
-                   base_b: Optional[Array] = None,
-                   ) -> tuple[LowRankFactors, OptimizerState]:
-    """Adam/AdamW update of both factors with the given gradients."""
-    step = state.step + 1
-    decoupled = cfg.optimizer == ADAMW
-    a = f.a if base_a is None else base_a
-    b = f.b if base_b is None else base_b
-    a_new, m_a, v_a = adam_update(a, g_a, state.m_a, state.v_a, step,
-                                  cfg.eta, state.beta1, state.beta2,
-                                  state.eps_adam, state.weight_decay, decoupled)
-    b_new, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step,
-                                  cfg.eta, state.beta1, state.beta2,
-                                  state.eps_adam, state.weight_decay, decoupled)
-    new_state = dataclasses.replace(state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b,
-                                    step=step)
-    return LowRankFactors(a_new, b_new), new_state
-
-
-def lora_gd_step(f: LowRankFactors, grad_w_times: GradientPair,
-                 eta: float) -> LowRankFactors:
-    """Plain gradient descent on both factors."""
-    grad_w_times.check_shapes(f)
-    return LowRankFactors(f.a - eta * grad_w_times.g_a,
-                          f.b - eta * grad_w_times.g_b)
-
-
 def delta_w(f_before: LowRankFactors, f_after: LowRankFactors) -> Array:
     """Induced weight change A_new @ B_new.T - A_old @ B_old.T."""
     if f_before.a.shape != f_after.a.shape or f_before.b.shape != f_after.b.shape:
@@ -153,96 +126,100 @@ def delta_w(f_before: LowRankFactors, f_after: LowRankFactors) -> Array:
     return f_after.product() - f_before.product()
 
 
-def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
-                 cfg: StepConfig, state: Optional[OptimizerState] = None,
-                 t: int = 0) -> tuple[LowRankFactors, Optional[OptimizerState]]:
-    """Refactored descent step with full-matrix preconditioning.
-
-    Equivalent to refactoring (A, B) to the S-balanced pair, taking the
-    step there, and refactoring back, which collapses to right-multiplying
-    the factor gradients by S^{-1} and S. Under Adam/AdamW the
-    preconditioned gradients feed the adaptive rule on the original axes,
-    so moments never need transforming.
-
-    Within the first `cfg.warmup_steps` iterations a rank-deficient pair
-    falls back to a plain GD step; past warmup it is an error. Identity mode
-    (S = I) never needs full rank.
-    """
-    grad_w_times.check_shapes(f)
-    try:
-        result = refactor.optimal_s(f, cfg.eta, cfg.refactor_mode)
-    except RankDeficient:
-        if t < cfg.warmup_steps:
-            return lora_gd_step(f, grad_w_times, cfg.eta), state
-        raise RankDeficient(f"factors rank-deficient at iteration {t}, "
-                            "past warmup") from None
-    g_a = grad_w_times.g_a @ result.s_inverse
-    g_b = grad_w_times.g_b @ result.s_matrix
-
-    if cfg.optimizer == GD:
-        return LowRankFactors(f.a - cfg.eta * g_a, f.b - cfg.eta * g_b), state
-    if state is None:
-        raise ValueError("adaptive optimizer needs an OptimizerState")
-    return _adaptive_pair(f, g_a, g_b, cfg, state)
+# The method table. Each entry reads the pair's cached kernel result (or
+# its norms) and returns (p_a, p_b, s): g_a and g_b are right-multiplied by
+# p_a and p_b (None: by I), and the update rule steps on the pair rescaled
+# to (sqrt(s) A, B / sqrt(s)), which becomes the next iterate.
+Preconditioner = tuple[Optional[Array], Optional[Array], float]
 
 
-def reflora_s_step(f: LowRankFactors, grad_w_times: GradientPair,
-                   cfg: StepConfig, state: Optional[OptimizerState] = None,
-                   t: int = 0) -> tuple[LowRankFactors, Optional[OptimizerState]]:
-    """Scalar-rescaled descent step.
+def _reflora(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
+    result = refactor.optimal_s(f, cfg.eta, cfg.refactor_mode)
+    return result.s_inverse, result.s_matrix, 1.0
 
-    Rescales the pair to (sqrt(s) A, B / sqrt(s)) with the optimal scalar s
-    (norm-balanced by default), then steps on the rescaled pair. Under
-    Adam/AdamW the stored moments are rescaled to the new axes first:
-    A-moments by 1/sqrt(s) and 1/s, B-moments by sqrt(s) and s. There is no
-    second refactoring; the updated rescaled pair is the next iterate.
-    """
-    grad_w_times.check_shapes(f)
+
+def _reflora_s(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
     mode = cfg.refactor_mode
-    if not mode.is_scalar:
-        if mode.kind == refactor.BALANCED:
-            mode = refactor.scalar_mode()
-        elif mode.kind == refactor.THEOREM_EXACT:
-            mode = refactor.scalar_theorem_exact_mode(mode.lipschitz, mode.root)
-        else:
-            raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
-    try:
-        s = refactor.optimal_scalar(f, cfg.eta, mode).s_scalar
-    except ZeroFactor:
-        if t < cfg.warmup_steps:
-            return lora_gd_step(f, grad_w_times, cfg.eta), state
-        raise ZeroFactor(
-            f"zero-norm factor at iteration {t}, past warmup") from None
-    rs = np.sqrt(s)
-    # the rescaled pair is (rs A, B / rs); its loss gradients are
-    # (g_a / rs, rs g_b)
-    if cfg.optimizer == GD:
-        return LowRankFactors(rs * f.a - (cfg.eta / rs) * grad_w_times.g_a,
-                              f.b / rs - (cfg.eta * rs) * grad_w_times.g_b), state
-    if state is None:
-        raise ValueError("adaptive optimizer needs an OptimizerState")
-    state = dataclasses.replace(state,
-                                m_a=state.m_a / rs, v_a=state.v_a / s,
-                                m_b=state.m_b * rs, v_b=state.v_b * s)
-    return _adaptive_pair(LowRankFactors(rs * f.a, f.b / rs),
-                          grad_w_times.g_a / rs, rs * grad_w_times.g_b,
-                          cfg, state)
+    if mode.kind == refactor.BALANCED:
+        mode = refactor.scalar_mode()
+    elif mode.kind == refactor.THEOREM_EXACT:
+        mode = refactor.scalar_theorem_exact_mode(mode.lipschitz, mode.root)
+    elif not mode.is_scalar:
+        raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
+    return None, None, refactor.optimal_scalar(f, cfg.eta, mode).s_scalar
 
 
-def scaledgd_step(f: LowRankFactors, grad_w_times: GradientPair,
-                  eta: float) -> LowRankFactors:
-    """Baseline preconditioning by the inverse Gram matrices.
-
-    Raises IllConditioned, before any update, when an inverse Gram leaves
-    the normal float range.
-    """
-    grad_w_times.check_shapes(f)
+def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
     k = refactor.balance(f).require_full_rank()
     if k.ga_inv is None or k.gb_inv is None:
         raise IllConditioned("an inverse Gram matrix leaves the normal float "
                              "range; rescale the factors")
-    return LowRankFactors(f.a - eta * grad_w_times.g_a @ k.gb_inv,
-                          f.b - eta * grad_w_times.g_b @ k.ga_inv)
+    return k.gb_inv, k.ga_inv, 1.0
+
+
+METHODS = {
+    METHOD_LORA_GD: lambda f, cfg: (None, None, 1.0),
+    METHOD_REFLORA: _reflora,
+    METHOD_REFLORA_S: _reflora_s,
+    METHOD_SCALEDGD: _scaledgd,
+}
+
+
+def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
+                 cfg: StepConfig, state: Optional[OptimizerState] = None,
+                 t: int = 0) -> tuple[LowRankFactors, Optional[OptimizerState]]:
+    """One step of `cfg.method` under `cfg.optimizer`.
+
+    The method's METHODS entry preconditions the factor gradients: `lora`
+    not at all; `reflora` by (S^{-1}, S) from `refactor.optimal_s`, which
+    equals refactoring to the S-balanced pair, stepping there and
+    refactoring back; `scaledgd` by ((B^T B)^{-1}, (A^T A)^{-1}), raising
+    IllConditioned when one leaves the normal float range; `reflora-s`
+    rescales the pair to (sqrt(s) A, B / sqrt(s)) with the optimal scalar
+    s and keeps it, with no second refactoring. The update rule is then GD, or Adam/AdamW (`adam_update`)
+    on the original axes, except that under `reflora-s` the A-moments are
+    rescaled by 1/sqrt(s) and 1/s and the B-moments by sqrt(s) and s.
+
+    A pair the method cannot precondition (RankDeficient; ZeroFactor for
+    `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
+    iterations, leaving the optimizer state unchanged; past warmup it is an
+    error. `lora`, and `reflora` in identity mode, never need full rank.
+    """
+    grad_w_times.check_shapes(f)
+    g_a, g_b = grad_w_times.g_a, grad_w_times.g_b
+    optimizer = cfg.optimizer
+    try:
+        p_a, p_b, s = METHODS[cfg.method](f, cfg)
+    except (RankDeficient, ZeroFactor) as exc:
+        if t >= cfg.warmup_steps:
+            raise type(exc)(f"{exc} (iteration {t}, past warmup)") from None
+        # warmup: plain GD, even under Adam, with the state left unchanged
+        p_a, p_b, s, optimizer = None, None, 1.0, GD
+    if p_a is not None:
+        g_a, g_b = g_a @ p_a, g_b @ p_b
+    rs = np.sqrt(s)
+    if optimizer == GD:
+        # the rescaled pair's gradients are (g_a / rs, rs g_b)
+        return LowRankFactors(rs * f.a - (cfg.eta / rs) * g_a,
+                              f.b / rs - (cfg.eta * rs) * g_b), state
+    if state is None:
+        raise ValueError("adaptive optimizer needs an OptimizerState")
+    a, b = f.a, f.b
+    if s != 1.0:
+        a, b, g_a, g_b = rs * a, b / rs, g_a / rs, rs * g_b
+        state = dataclasses.replace(state,
+                                    m_a=state.m_a / rs, v_a=state.v_a / s,
+                                    m_b=state.m_b * rs, v_b=state.v_b * s)
+    step = state.step + 1
+    decoupled = optimizer == ADAMW
+    a, m_a, v_a = adam_update(a, g_a, state.m_a, state.v_a, step, cfg.eta,
+                              state.beta1, state.beta2, state.eps_adam,
+                              state.weight_decay, decoupled)
+    b, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step, cfg.eta,
+                              state.beta1, state.beta2, state.eps_adam,
+                              state.weight_decay, decoupled)
+    return LowRankFactors(a, b), dataclasses.replace(
+        state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b, step=step)
 
 
 def horizontal_check(f: LowRankFactors, update: tuple[Array, Array]) -> float:

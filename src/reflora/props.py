@@ -225,15 +225,15 @@ def check_sandwich(gen, trials: int) -> PropResult:
 
 def check_orthogonal_invariance(gen, trials: int) -> PropResult:
     worst = 0.0
-    eta = 1e-2
+    cfg = optim.StepConfig(eta=1e-2, method=optim.METHOD_LORA_GD)
     for _ in range(trials):
         f, grad = _random_instance(gen)
         q, _ = np.linalg.qr(gen.standard_normal((f.r, f.r)))
         f_rot = LowRankFactors(f.a @ q, f.b @ q)
         gp = GradientPair(grad @ f.b, grad.T @ f.a)
         gp_rot = GradientPair(grad @ f_rot.b, grad.T @ f_rot.a)
-        dw = optim.delta_w(f, optim.lora_gd_step(f, gp, eta))
-        dw_rot = optim.delta_w(f_rot, optim.lora_gd_step(f_rot, gp_rot, eta))
+        dw = optim.delta_w(f, optim.reflora_step(f, gp, cfg)[0])
+        dw_rot = optim.delta_w(f_rot, optim.reflora_step(f_rot, gp_rot, cfg)[0])
         worst = max(worst, rel(np.linalg.norm(dw - dw_rot),
                                np.linalg.norm(dw)))
     return PropResult("optim.orthogonal_invariance", worst, 1e-9)

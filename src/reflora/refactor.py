@@ -56,6 +56,8 @@ class LowRankFactors:
             raise ValueError(
                 f"rank mismatch: A has {a.shape[1]} columns, B has {b.shape[1]}"
             )
+        if a.shape[1] < 1:
+            raise ValueError("rank must be at least 1")
         if a.shape[1] > min(a.shape[0], b.shape[0]):
             raise ValueError("rank exceeds min(m, n)")
         object.__setattr__(self, "a", _read_only(a))
@@ -491,8 +493,7 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Refacto
 
 
 def upper_bound_eval(f: LowRankFactors, s: Array, eta: float, lipschitz: float,
-                     grad_spec_norm: float, loss_now: float,
-                     const_terms: float) -> float:
+                     grad_spec_norm: float, const_terms: float) -> float:
     """Truncated quadratic loss upper bound after one refactored step.
 
     Returns
@@ -502,13 +503,11 @@ def upper_bound_eval(f: LowRankFactors, s: Array, eta: float, lipschitz: float,
     The cubic-in-eta remainder is excluded; callers that need a certified
     bound must add it separately (the harness computes it exactly for the
     quadratic test problems). At eta = 0 the squared term is undefined and
-    the function returns const_terms exactly; loss_now is accepted for
-    symmetry with trace logging but does not enter the returned value, as
-    callers fold the current loss into const_terms.
+    the function returns const_terms exactly. Callers fold the current loss
+    into const_terms.
     """
     if lipschitz <= 0:
         raise ValueError("lipschitz must be positive")
-    del loss_now
     if eta == 0.0:
         return float(const_terms)
     g = g_objective(f, s)

@@ -188,6 +188,7 @@ def test_criterion_06_consistent_updates_under_reparametrization():
 
 def test_criterion_07_orthogonal_invariance_of_plain_gd():
     g = gen(1007)
+    cfg = StepConfig(eta=0.05, method="lora")
     worst = 0.0
     for _ in range(500):
         r = int(g.integers(1, 9))
@@ -198,10 +199,10 @@ def test_criterion_07_orthogonal_invariance_of_plain_gd():
         q, rr = np.linalg.qr(g.standard_normal((r, r)))
         q = q * np.sign(np.diag(rr))
         f_rot = LowRankFactors(f.a @ q, f.b @ q)
-        dw = optim.delta_w(f, optim.lora_gd_step(
-            f, GradientPair(grad @ f.b, grad.T @ f.a), 0.05))
-        dw_rot = optim.delta_w(f_rot, optim.lora_gd_step(
-            f_rot, GradientPair(grad @ f_rot.b, grad.T @ f_rot.a), 0.05))
+        dw = optim.delta_w(f, optim.reflora_step(
+            f, GradientPair(grad @ f.b, grad.T @ f.a), cfg)[0])
+        dw_rot = optim.delta_w(f_rot, optim.reflora_step(
+            f_rot, GradientPair(grad @ f_rot.b, grad.T @ f_rot.a), cfg)[0])
         worst = max(worst, np.linalg.norm(dw - dw_rot) / np.linalg.norm(dw))
     report(7, "plain GD update invariant under orthogonal refactoring",
            worst <= 1e-9, f"worst {worst:.2e}")
@@ -243,7 +244,7 @@ def test_criterion_08_dual_path_equivalences():
                                v_a=g.random((m, r)),
                                m_b=g.standard_normal((n, r)),
                                v_b=g.random((n, r)), step=4)
-        got, _ = optim.reflora_s_step(f, gp, cfg_s, state)
+        got, _ = optim.reflora_step(f, gp, cfg_s, state)
         s = refactor.optimal_scalar(f, cfg_s.eta, refactor.scalar_mode()).s_scalar
         rs = np.sqrt(s)
         want_a, _, _ = optim.adam_update(rs * f.a, gp.g_a / rs,

@@ -8,18 +8,20 @@ drives `reflora.cli.main(argv)`. A refactor that changes any of these
 breaks the benchmark, so they are pinned here. perfbench/workloads.py
 checks each operation's output, including convergence of the members it
 marks; the mf-large gate is pinned here too, so a change of the instance
-cannot break it unnoticed.
+cannot break it unnoticed. perfbench/selftest.py, run before every
+benchmark run, requires a `reflora mf` run to execute `optim.reflora_step`.
 """
 
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reflora import cli, problems
+from reflora import cli, optim, problems
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -86,3 +88,25 @@ def test_mf_large_reflora_converges(seed):
     outcome = workloads.check(op, code, out.getvalue())
     assert outcome.errors == []
     assert outcome.steps_to_tol["reflora.gd"] <= workloads.MF_LARGE_STEPS
+
+
+@pytest.mark.parametrize("method", list(optim.METHODS))
+def test_mf_run_executes_the_stepper(method):
+    # perfbench/selftest.py fails unless a `reflora mf` run executes
+    # optim.reflora_step; every method steps through it
+    executed = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            executed.add(frame.f_code)
+
+    out = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["mf", "--method", method, "--m", "12", "--n",
+                             "10", "--rank", "2", "--steps", "3"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert optim.reflora_step.__code__ in executed

@@ -77,6 +77,21 @@ class TestMfSubcommand:
         assert "step,loss" in out
 
 
+class TestRunFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["mf", "--rank", "0"], "--rank"),
+        (["linreg", "--rank", "0"], "--rank"),
+        (["compare", "--rank", "0"], "--rank"),
+        (["mf", "--warmup", "-1"], "--warmup"),
+        (["compare", "--warmup", "-1"], "--warmup"),
+        (["compare", "--methods", "lora,scaledgd", "--optimizer", "adam"],
+         "--optimizer"),
+    ])
+    def test_usage_error(self, capsys, argv, flag):
+        assert run_cli(argv + ["--steps", "3", "--m", "8", "--n", "6"]) == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_flags_equal_config(self, tmp_path):
         out_flags = tmp_path / "flags.csv"
@@ -191,15 +206,6 @@ class TestCompareSubcommand:
         assert run_cli(["compare", "--methods", "lora,bogus"]) == 2
         assert "--methods" in capsys.readouterr().err
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REFLORA_THREADS", "2")
-        out = tmp_path / "cmp.csv"
-        code = run_cli(["compare", "--methods", "lora,reflora",
-                        "--etas", "0.01", "--steps", "8", "--m", "12",
-                        "--n", "10", "--rank", "2", "--out", str(out)])
-        assert code == 0
-        assert len(read_body(out).splitlines()) == 10
-
 
 class TestInstanceBuiltOnce:
     @pytest.mark.parametrize("builder,argv", [
@@ -238,14 +244,13 @@ class TestEnvironmentHeader:
                                                argv):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        monkeypatch.delenv("REFLORA_THREADS", raising=False)
         out = tmp_path / "out.csv"
         assert run_cli(argv + ["--out", str(out)]) == 0
         line = next(l for l in read_header(out) if l.startswith("# numpy: "))
         assert line.startswith(f"# numpy: {np.__version__}, blas: ")
         assert f"cpus: {os.cpu_count()}, " in line
         assert line.endswith("threads: OPENBLAS_NUM_THREADS=1, "
-                             "OMP_NUM_THREADS=2, REFLORA_THREADS=unset")
+                             "OMP_NUM_THREADS=2")
 
     def test_blas_unknown_without_config_dicts(self, monkeypatch):
         # numpy before 1.26: show_config takes no mode argument

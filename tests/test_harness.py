@@ -30,7 +30,7 @@ class TestRun:
         f = problems.init_factors(6, 5, 2, seed=1, sigma_a=0.0)
         cfg = optim.StepConfig(eta=0.1, method="lora")
         for _ in range(5):
-            f = optim.lora_gd_step(f, problem.grad_pair(f), cfg.eta)
+            f, _ = optim.reflora_step(f, problem.grad_pair(f), cfg)
             assert problem.loss_at_factors(f) == 0.0
 
     def test_reflora_loss_decreases_after_warmup(self):
@@ -122,12 +122,12 @@ class TestLoraAdam:
         f = problems.init_factors(12, 10, 3, seed=4)  # B = 0
         cfg = optim.StepConfig(eta=0.01, method="lora", optimizer=optim.ADAM)
         state = optim.OptimizerState.zeros(12, 10, 3)
-        f, state = harness._take_step(f, problem.grad_pair(f), cfg, state, 0)
+        f, state = optim.reflora_step(f, problem.grad_pair(f), cfg, state, 0)
         assert state.step == 1
         col = g.standard_normal((10, 1))
         f = LowRankFactors(g.standard_normal((12, 3)),
                            np.hstack([col, col, col]))
-        f, state = harness._take_step(f, problem.grad_pair(f), cfg, state, 5)
+        f, state = optim.reflora_step(f, problem.grad_pair(f), cfg, state, 5)
         assert state.step == 2
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -171,18 +171,18 @@ class TestCompare:
         with pytest.raises(ValueError):
             harness.compare([mf_spec(seed=0), mf_spec(seed=1)])
 
-    def test_threaded_equals_sequential(self):
+    def test_rerun_identical(self):
         specs = [mf_spec(method=m, iterations=20, label=m)
                  for m in ("lora", "reflora")]
-        seq = harness.compare(specs, max_workers=1)
-        par = harness.compare(specs, max_workers=2)
+        first = harness.compare(specs)
+        second = harness.compare(specs)
         # step times differ between executions; the data columns must not
-        skip = {i for i, c in enumerate(seq.columns) if c.endswith("step_time_ns")}
-        for row_s, row_p in zip(seq.rows, par.rows):
-            for i, (a, b) in enumerate(zip(row_s, row_p)):
+        skip = {i for i, c in enumerate(first.columns)
+                if c.endswith("step_time_ns")}
+        for row_1, row_2 in zip(first.rows, second.rows):
+            for i, (a, b) in enumerate(zip(row_1, row_2)):
                 if i not in skip:
                     assert a == b
-
 
     def test_instance_built_once(self, monkeypatch):
         calls = []
@@ -195,7 +195,7 @@ class TestCompare:
         monkeypatch.setattr(problems, "make_mf", counting)
         specs = [mf_spec(method=m, iterations=10, label=m)
                  for m in optim.METHODS]
-        table = harness.compare(specs, max_workers=2)
+        table = harness.compare(specs)
         assert len(calls) == 1
         assert len(table.rows) == 11
 
@@ -265,7 +265,7 @@ class TestNoDenseWork:
     def test_compare(self, kind):
         specs = [RunSpec(**self.SPECS[kind], seed=2, method=m, iterations=10,
                          label=m) for m in optim.METHODS]
-        assert len(harness.compare(specs, max_workers=2).rows) == 11
+        assert len(harness.compare(specs).rows) == 11
 
 
 class TestBoundScan:

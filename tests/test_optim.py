@@ -62,23 +62,28 @@ def random_factors(g, m, n, r):
     return LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
 
 
+def gd_step(f, gp, eta, method=optim.METHOD_LORA_GD):
+    """The pair after one GD step of `method`."""
+    return optim.reflora_step(f, gp, StepConfig(eta=eta, method=method))[0]
+
+
 class TestLoraGdStep:
     def test_zero_b_freezes_a(self, rng):
         f = LowRankFactors(rng.standard_normal((4, 2)), np.zeros((3, 2)))
         grad = rng.standard_normal((4, 3))
-        f_new = optim.lora_gd_step(f, pair_from_dense(f, grad), 0.1)
+        f_new = gd_step(f, pair_from_dense(f, grad), 0.1)
         assert np.array_equal(f_new.a, f.a)
         assert np.linalg.norm(f_new.b) > 0
 
     def test_zero_gradient(self, rng):
         f = random_factors(rng, 4, 3, 2)
-        f_new = optim.lora_gd_step(f, pair_from_dense(f, np.zeros((4, 3))), 0.1)
+        f_new = gd_step(f, pair_from_dense(f, np.zeros((4, 3))), 0.1)
         assert np.array_equal(f_new.a, f.a)
         assert np.array_equal(f_new.b, f.b)
 
     def test_oracle_seed21(self):
         f = LowRankFactors(GD_A, GD_B)
-        f_new = optim.lora_gd_step(f, pair_from_dense(f, GD_GRAD), 0.05)
+        f_new = gd_step(f, pair_from_dense(f, GD_GRAD), 0.05)
         assert rel_err(f_new.a, GD_A_EXPECTED) < 1e-14
         assert rel_err(f_new.b, GD_B_EXPECTED) < 1e-14
 
@@ -93,7 +98,7 @@ class TestDeltaW:
         grad = rng.standard_normal((5, 4))
         gp = pair_from_dense(f, grad)
         eta = 0.02
-        f_new = optim.lora_gd_step(f, gp, eta)
+        f_new = gd_step(f, gp, eta)
         da, db = -eta * gp.g_a, -eta * gp.g_b
         expect = f.a @ db.T + da @ f.b.T + da @ db.T
         assert rel_err(optim.delta_w(f, f_new), expect) < 1e-12
@@ -108,7 +113,7 @@ class TestRefloraStep:
         gp = pair_from_dense(f, grad)
         cfg = StepConfig(eta=0.05, method=optim.METHOD_REFLORA)
         got, _ = optim.reflora_step(f, gp, cfg)
-        want = optim.lora_gd_step(f, gp, 0.05)
+        want = gd_step(f, gp, 0.05)
         assert rel_err(got.a, want.a) < 1e-12
         assert rel_err(got.b, want.b) < 1e-12
 
@@ -148,15 +153,26 @@ class TestRefloraStep:
                 f_alt, pair_from_dense(f_alt, grad), cfg)[0])
             assert rel_err(dw_alt, dw) <= 1e-8
 
-    def test_warmup_fallback_then_error(self, rng):
+    @pytest.mark.parametrize("method,error", [
+        pytest.param(optim.METHOD_REFLORA, RankDeficient, id="reflora"),
+        pytest.param(optim.METHOD_SCALEDGD, RankDeficient, id="scaledgd"),
+        pytest.param(optim.METHOD_REFLORA_S, ZeroFactor, id="reflora-s"),
+    ])
+    def test_warmup_fallback_then_error(self, rng, method, error):
         f = LowRankFactors(rng.standard_normal((5, 2)), np.zeros((4, 2)))
         grad = rng.standard_normal((5, 4))
         gp = pair_from_dense(f, grad)
-        cfg = StepConfig(eta=0.1, method=optim.METHOD_REFLORA, warmup_steps=1)
-        f_new, _ = optim.reflora_step(f, gp, cfg, t=0)
-        assert np.array_equal(f_new.a, f.a)  # plain GD with B = 0
-        with pytest.raises(RankDeficient):
-            optim.reflora_step(f, gp, cfg, t=1)
+        for optimizer in (optim.GD, optim.ADAM):
+            cfg = StepConfig(eta=0.1, method=method, optimizer=optimizer,
+                             warmup_steps=1)
+            state = OptimizerState.zeros(5, 4, 2)
+            f_new, new_state = optim.reflora_step(f, gp, cfg, state, t=0)
+            # plain GD with B = 0, and the optimizer state untouched
+            assert np.array_equal(f_new.a, f.a)
+            assert np.array_equal(f_new.b, f.b - 0.1 * gp.g_b)
+            assert new_state is state
+            with pytest.raises(error):
+                optim.reflora_step(f, gp, cfg, state, t=1)
 
     def test_adam_path_preconditions_gradients(self, rng):
         f = random_factors(rng, 6, 5, 2)
@@ -187,8 +203,8 @@ class TestRefloraSStep:
         grad = rng.standard_normal((5, 4))
         gp = pair_from_dense(f, grad)
         cfg = StepConfig(eta=0.05, method=optim.METHOD_REFLORA_S)
-        got, _ = optim.reflora_s_step(f, gp, cfg)
-        want = optim.lora_gd_step(f, gp, 0.05)
+        got, _ = optim.reflora_step(f, gp, cfg)
+        want = gd_step(f, gp, 0.05)
         assert rel_err(got.a, want.a) < 1e-12
         assert rel_err(got.b, want.b) < 1e-12
 
@@ -215,7 +231,7 @@ class TestRefloraSStep:
                 m_b=g.standard_normal((5, 2)), v_b=g.random((5, 2)), step=3)
             cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA_S,
                              optimizer=optim.ADAM)
-            got, got_state = optim.reflora_s_step(f, gp, cfg, state)
+            got, got_state = optim.reflora_step(f, gp, cfg, state)
 
             # reference: explicitly rescale factors, gradients, and moments,
             # then run the plain adaptive rule
@@ -237,7 +253,7 @@ class TestRefloraSStep:
         gp = pair_from_dense(f, rng.standard_normal((4, 3)))
         cfg = StepConfig(eta=0.1, method=optim.METHOD_REFLORA_S, warmup_steps=0)
         with pytest.raises(ZeroFactor):
-            optim.reflora_s_step(f, gp, cfg, t=5)
+            optim.reflora_step(f, gp, cfg, t=5)
 
 
 class TestScaledGdStep:
@@ -246,26 +262,29 @@ class TestScaledGdStep:
                            random_orthogonal(rng, 4)[:, :2])
         grad = rng.standard_normal((5, 4))
         gp = pair_from_dense(f, grad)
-        got = optim.scaledgd_step(f, gp, 0.1)
-        want = optim.lora_gd_step(f, gp, 0.1)
+        got = gd_step(f, gp, 0.1, optim.METHOD_SCALEDGD)
+        want = gd_step(f, gp, 0.1)
         assert rel_err(got.a, want.a) < 1e-12
         assert rel_err(got.b, want.b) < 1e-12
 
     def test_zero_gradient(self, rng):
         f = random_factors(rng, 4, 3, 2)
-        got = optim.scaledgd_step(f, pair_from_dense(f, np.zeros((4, 3))), 0.1)
+        got = gd_step(f, pair_from_dense(f, np.zeros((4, 3))), 0.1,
+                      optim.METHOD_SCALEDGD)
         assert rel_err(got.a, f.a) == 0.0
 
     def test_oracle_seed37(self):
         f = LowRankFactors(SGD_A, SGD_B)
-        got = optim.scaledgd_step(f, pair_from_dense(f, SGD_GRAD), 0.1)
+        got = gd_step(f, pair_from_dense(f, SGD_GRAD), 0.1,
+                      optim.METHOD_SCALEDGD)
         assert rel_err(got.a, SGD_A_EXPECTED) < 1e-13
         assert rel_err(got.b, SGD_B_EXPECTED) < 1e-13
 
     def test_rank_deficient_rejected(self, rng):
         f = LowRankFactors(rng.standard_normal((4, 2)), np.zeros((3, 2)))
+        cfg = StepConfig(eta=0.1, method=optim.METHOD_SCALEDGD, warmup_steps=0)
         with pytest.raises(RankDeficient):
-            optim.scaledgd_step(f, pair_from_dense(f, np.ones((4, 3))), 0.1)
+            optim.reflora_step(f, pair_from_dense(f, np.ones((4, 3))), cfg, t=5)
 
 
 class TestAdamUpdate:
@@ -394,9 +413,9 @@ class TestOrthogonalInvariance:
             grad = rng.standard_normal((7, 5))
             q = random_orthogonal(rng, 3)
             f_rot = LowRankFactors(f.a @ q, f.b @ q)
-            dw = optim.delta_w(f, optim.lora_gd_step(
+            dw = optim.delta_w(f, gd_step(
                 f, pair_from_dense(f, grad), 0.05))
-            dw_rot = optim.delta_w(f_rot, optim.lora_gd_step(
+            dw_rot = optim.delta_w(f_rot, gd_step(
                 f_rot, pair_from_dense(f_rot, grad), 0.05))
             assert rel_err(dw_rot, dw) <= 1e-9
 

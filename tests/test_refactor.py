@@ -248,7 +248,7 @@ class TestUpperBoundEval:
     def test_eta_zero_returns_const(self, rng):
         f = random_factors(rng, 5, 4, 2)
         got = refactor.upper_bound_eval(f, np.eye(2), 0.0, 1.0, 3.0,
-                                        loss_now=7.0, const_terms=1.25)
+                                        const_terms=1.25)
         assert got == 1.25
 
     def test_zero_of_squared_term(self, rng):
@@ -257,14 +257,14 @@ class TestUpperBoundEval:
         # scale the balanced matrix so g(S) equals exactly 1/(L eta)
         res = refactor.optimal_s(f, eta, refactor.theorem_exact_mode(lip))
         got = refactor.upper_bound_eval(f, res.s_matrix, eta, lip, 5.0,
-                                        loss_now=0.0, const_terms=4.5)
+                                        const_terms=4.5)
         assert got == pytest.approx(4.5, abs=1e-10)
 
     def test_quadratic_in_grad_norm(self, rng):
         f = random_factors(rng, 5, 4, 2)
         s = refactor.geometric_mean_s(f)
-        b1 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 1.0, 0.0, 0.0)
-        b2 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 2.0, 0.0, 0.0)
+        b1 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 1.0, 0.0)
+        b2 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 2.0, 0.0)
         assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
 
 
@@ -301,13 +301,14 @@ class TestKernelContract:
         f = near_singular_factors(rho, seed)
         gp = GradientPair(np.ones_like(f.a), np.ones_like(f.b))
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         consumers = [
             lambda: refactor.geometric_mean_s(f),
             lambda: refactor.optimal_s(f, 0.01, refactor.balanced_mode()).s_matrix,
             lambda: refactor.optimal_s(
                 f, 1e-6, refactor.theorem_exact_mode(1.0)).s_matrix,
             lambda: optim.reflora_step(f, gp, cfg, t=5),
-            lambda: optim.scaledgd_step(f, gp, 0.01),
+            lambda: optim.reflora_step(f, gp, scaledgd, t=5),
             lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
         ]
         full_rank = f.is_full_rank()
@@ -342,10 +343,11 @@ class TestKernelContract:
         gp = GradientPair(g.standard_normal((9, 3)) / c,
                           g.standard_normal((7, 3)) * c)
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         entry_points = [
             lambda: refactor.balance(f),
             lambda: optim.reflora_step(f, gp, cfg, t=5),
-            lambda: optim.scaledgd_step(f, gp, 0.01),
+            lambda: optim.reflora_step(f, gp, scaledgd, t=5),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -411,6 +413,7 @@ class TestKernelContract:
         gp = GradientPair(g.standard_normal((9, 3)) * cb,
                           g.standard_normal((7, 3)) * ca)
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
+        scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = refactor.balance(f)
@@ -419,7 +422,7 @@ class TestKernelContract:
             assert (k.gb_inv is None) == (cb < 1e-155)
             assert rel_err(k.s * (ca / cb), refactor.balance(f0).s) <= 1e-12
             with pytest.raises(IllConditioned):
-                optim.scaledgd_step(f, gp, 0.01)
+                optim.reflora_step(f, gp, scaledgd, t=5)
             out, _ = optim.reflora_step(f, gp, cfg, t=5)
             assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.b))
 
@@ -453,6 +456,8 @@ class TestLowRankFactors:
             LowRankFactors(np.ones((3, 2)), np.ones((3, 3)))
         with pytest.raises(ValueError):
             LowRankFactors(np.ones((2, 3)), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            LowRankFactors(np.ones((3, 0)), np.ones((2, 0)))
 
     def test_finite_validation(self):
         with pytest.raises(ValueError):
