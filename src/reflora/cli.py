@@ -256,7 +256,21 @@ def _check_format(args) -> None:
         raise UsageError(f"--format: only csv is supported, got {args.format!r}")
 
 
-def _check_run_flags(args, methods: Sequence[str], method_flag: str) -> None:
+def _check_dims(args, problem_kind: str) -> None:
+    """Instance dimensions and rank, checked before any instance is built."""
+    flags = ("m", "n", "k") if problem_kind == "linreg" else ("m", "n")
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag}: need at least 1")
+    if args.rank < 1:
+        raise UsageError("--rank: need at least 1")
+    if args.rank > min(args.m, args.n):
+        raise UsageError(f"--rank: {args.rank} exceeds min(m, n) = "
+                         f"{min(args.m, args.n)}")
+
+
+def _check_run_flags(args, methods: Sequence[str], method_flag: str,
+                     problem_kind: str) -> None:
     """The flags `mf`, `linreg` and `compare` share, and their methods."""
     _check_format(args)
     for method in methods:
@@ -269,14 +283,13 @@ def _check_run_flags(args, methods: Sequence[str], method_flag: str) -> None:
     if optim.METHOD_REFLORA_S in methods and args.mode == "identity":
         raise UsageError("--mode: identity makes reflora-s a no-op; "
                          "use --method lora instead")
-    if args.rank < 1:
-        raise UsageError("--rank: need at least 1")
     if args.warmup < 0:
         raise UsageError("--warmup: must be >= 0")
     if args.steps < 1:
         raise UsageError("--steps: need at least one iteration")
     if args.log_every < 1:
         raise UsageError("--log-every: must be >= 1")
+    _check_dims(args, problem_kind)
 
 
 def _build_problem(problem_kind: str, args) -> Problem:
@@ -288,7 +301,8 @@ def _build_problem(problem_kind: str, args) -> Problem:
 
 
 def _cmd_run(args, command: str) -> int:
-    _check_run_flags(args, [args.method], "method")
+    problem_kind = "mf" if command == "mf" else "linreg"
+    _check_run_flags(args, [args.method], "method", problem_kind)
     if args.eta == 0 and args.mode == "theorem-exact":
         raise UsageError("--eta: eta = 0 is the jump discontinuity of the "
                          "optimal refactoring; the bound minimizer is "
@@ -296,7 +310,6 @@ def _cmd_run(args, command: str) -> int:
     if args.eta <= 0:
         raise UsageError("--eta: optimizers need a positive learning rate "
                          "(bound-scan supports negative grids)")
-    problem_kind = "mf" if command == "mf" else "linreg"
     problem = _build_problem(problem_kind, args)
     mode = _build_mode(args, problem.lipschitz)
     spec = harness.RunSpec(
@@ -319,6 +332,7 @@ def _cmd_run(args, command: str) -> int:
 
 def _cmd_bound_scan(args) -> int:
     _check_format(args)
+    _check_dims(args, "linreg")
     if args.points < 2:
         raise UsageError("--points: need at least two grid points")
     if args.eta_min >= args.eta_max:
@@ -346,7 +360,7 @@ def _cmd_compare(args) -> int:
     etas = _float_list(args.etas)
     if not methods or not etas:
         raise UsageError("--methods/--etas: need at least one of each")
-    _check_run_flags(args, methods, "methods")
+    _check_run_flags(args, methods, "methods", args.problem)
     if any(eta <= 0 for eta in etas):
         raise UsageError("--etas: learning rates must be positive")
     problem = _build_problem(args.problem, args)

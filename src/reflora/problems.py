@@ -12,6 +12,12 @@ of the factors onto U_r and V_r, at O((m + n) r^2) per call; linear
 regression works on the m x k residual, at O((m + n) r k). The dense
 `loss(w)`, `grad(w)` and `full_weight` remain as the reference the tests
 check the fused call against.
+
+`make_mf` is matrix-free as well: it draws the top singular values from
+the bidiagonal model of a Gaussian matrix and the singular vectors as Haar
+frames, in O((m + n) r) memory plus one small tridiagonal block. The
+dense Y exists only on demand, through the `y` properties, for the dense
+reference path and the tests.
 """
 
 import io
@@ -28,20 +34,27 @@ from .refactor import LowRankFactors
 
 @dataclass(frozen=True)
 class MfInstance:
-    """Rank-r target for min 0.5 * ||Y - A B^T||_F^2.
+    """Rank-r target Y = U_r diag(sigma) V_r^T for min 0.5 * ||Y - A B^T||_F^2.
 
-    `make_mf` builds Y = U_r diag(sigma) V_r^T from independent draws of
-    the top r singular values of a Gaussian m x n matrix and of Haar
-    frames U_r, V_r. This is the distribution of that matrix's rank-r
-    truncation, since a Gaussian matrix's singular vectors are Haar and
-    independent of its singular values.
+    `make_mf` draws the top r singular values of a Gaussian m x n matrix
+    and Haar frames U_r (m x r), V_r (n x r) independently. This is the
+    distribution of that matrix's rank-r truncation, since a Gaussian
+    matrix's singular vectors are Haar and independent of its singular
+    values. Only the factors are stored; `y` forms the dense m x n target
+    on each access.
     """
 
-    y: Array
+    u: Array
+    sigma: Array
+    v: Array
     m: int
     n: int
     r: int
     seed: int
+
+    @property
+    def y(self) -> Array:
+        return (self.u * self.sigma) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -61,10 +74,12 @@ class Problem:
 
     The trainable increment enters as W = w_pretrained + scale * A @ B.T,
     where `scale` is an optional adapter multiplier (alpha / r in adapter
-    conventions; 1.0 here and in all desk-scale experiments).
+    conventions; 1.0 here and in all desk-scale experiments). A problem
+    without a pretrained weight holds None, not m x n zeros.
     """
 
-    def __init__(self, name: str, m: int, n: int, w_pretrained: Array,
+    def __init__(self, name: str, m: int, n: int,
+                 w_pretrained: Optional[Array],
                  lipschitz: Optional[float] = None):
         self.name = name
         self.m = m
@@ -80,7 +95,8 @@ class Problem:
 
     def full_weight(self, f: LowRankFactors, scale: float = 1.0) -> Array:
         """The dense m x n weight W, for the dense reference path."""
-        return self.w_pretrained + scale * f.product()
+        w = scale * f.product()
+        return w if self.w_pretrained is None else self.w_pretrained + w
 
     def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
                        ) -> tuple[float, GradientPair]:
@@ -100,20 +116,28 @@ class Problem:
 class MatrixFactorizationProblem(Problem):
     """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1.
 
-    The target is also held as Y = U diag(sigma) V^T with orthonormal U and
-    V: `make_mf` passes the factors it builds Y from, and any other Y is
-    factored here by one thin SVD.
+    The target is held as Y = U diag(sigma) V^T with orthonormal U and V.
+    Given `factors` (what `make_mf` passes), the dense Y is formed only
+    when `y` is first read; a dense `y` given instead is kept and factored
+    here by one thin SVD. There is no pretrained weight.
     """
 
-    def __init__(self, y: Array,
+    def __init__(self, y: Optional[Array] = None,
                  factors: Optional[tuple[Array, Array, Array]] = None):
-        m, n = y.shape
-        super().__init__("mf", m, n, np.zeros((m, n)), lipschitz=1.0)
-        self.y = y
         if factors is None:
             u, sigma, vt = np.linalg.svd(y, full_matrices=False)
             factors = (u, sigma, vt.T)
         self.u, self.sigma, self.v = (np.ascontiguousarray(x) for x in factors)
+        super().__init__("mf", self.u.shape[0], self.v.shape[0], None,
+                         lipschitz=1.0)
+        self._y = y
+
+    @property
+    def y(self) -> Array:
+        """The dense m x n target, formed from the factors on first read."""
+        if self._y is None:
+            self._y = (self.u * self.sigma) @ self.v.T
+        return self._y
 
     def loss(self, w: Array) -> float:
         d = self.y - w
@@ -196,34 +220,69 @@ def make_mf(m: int, n: int, r: int, seed: int
     """Rank-r matrix-factorization instance, built in factored form.
 
     The target has the distribution of a standard Gaussian m x n matrix
-    truncated to its largest r singular values, without computing any
-    singular vectors. A Gaussian matrix's singular vectors are Haar
-    distributed and independent of its singular values (Edelman & Rao,
-    Acta Numerica 2005), so the three parts are drawn separately from the
-    instance stream of `seed`:
+    truncated to its largest r singular values, and no m x n array is
+    formed. A Gaussian matrix's singular vectors are Haar distributed and
+    independent of its singular values (Edelman & Rao, Acta Numerica
+    2005), so the three parts are drawn separately from the instance
+    stream of `seed`:
 
-    - sigma: the square roots of the top r eigenvalues of the smaller Gram
-      of a Gaussian m x n matrix (its top r singular values);
+    - sigma: the top r singular values of the bidiagonal model of a
+      Gaussian max(m, n) x min(m, n) matrix (`_top_singular_values`);
     - U_r (m x r), then V_r (n x r): the Q of a QR of a Gaussian matrix,
       columns signed by diag(R), which makes Q Haar distributed (Mezzadri,
       Notices AMS 2007).
 
-    Y = U_r diag(sigma) V_r^T, and the problem keeps (U_r, sigma, V_r).
-    Cost is one m x n draw and a min(m, n)^2 Gram with its eigenvalues.
+    Y = U_r diag(sigma) V_r^T is formed only when `y` is read. Memory is
+    O((m + n) r + k^2), where k <= min(m, n) is the order of the last
+    tridiagonal block decomposed (256 at 1024 x 1024, r = 8).
     """
     if r > min(m, n) or m < 1 or n < 1:
         raise ValueError(f"invalid dims m={m}, n={n}, r={r}")
     gen = rng.stream(seed, rng.STREAM_INSTANCE)
-    full = gen.standard_normal((m, n))
-    gram = full.T @ full if m >= n else full @ full.T
-    del full
-    sigma = np.sqrt(np.linalg.eigvalsh(gram)[::-1][:r])
-    del gram
+    sigma = _top_singular_values(gen, max(m, n), min(m, n), r)
     u = _haar_frame(gen, m, r)
     v = _haar_frame(gen, n, r)
-    y = (u * sigma) @ v.T
-    inst = MfInstance(y=y, m=m, n=n, r=r, seed=seed)
-    return MatrixFactorizationProblem(y, (u, sigma, v)), inst
+    inst = MfInstance(u=u, sigma=sigma, v=v, m=m, n=n, r=r, seed=seed)
+    return MatrixFactorizationProblem(factors=(u, sigma, v)), inst
+
+
+def _top_singular_values(gen: np.random.Generator, p: int, q: int, r: int
+                         ) -> Array:
+    """The top r singular values of a standard Gaussian p x q matrix
+    (p >= q >= r), descending, drawn without forming the matrix.
+
+    Golub-Kahan bidiagonalization of such a matrix gives, in law, the q x q
+    upper bidiagonal B with diagonal chi_p, chi_{p-1}, ..., chi_{p-q+1} and
+    superdiagonal chi_{q-1}, ..., chi_1, all independent (Dumitriu &
+    Edelman, J. Math. Phys. 2002). Its singular values are the square
+    roots of the eigenvalues of the tridiagonal T = B^T B.
+
+    The top eigenvectors of T live in its leading rows, where the entries
+    are largest, so only the leading block T_k = B_k^T B_k is decomposed,
+    with k doubling from max(64, 2r). An eigenpair (lam, x) of T_k, padded
+    with zeros, has residual |d_k e_k| * |x_k| in T: the one coupling
+    entry times the last component. Once that is at most eps * lam_1 for
+    each of the top r pairs, T has an eigenvalue that close to each one
+    (the symmetric residual bound; Parlett, The Symmetric Eigenvalue
+    Problem). At k = q the block is T itself.
+    """
+    d = np.sqrt(gen.chisquare(np.arange(p, p - q, -1, dtype=float)))
+    e = np.sqrt(gen.chisquare(np.arange(q - 1, 0, -1, dtype=float)))
+    eps = np.finfo(float).eps
+    k = min(q, max(64, 2 * r))
+    while True:
+        t = np.zeros((k, k))
+        diag = d[:k] * d[:k]
+        diag[1:] += e[:k - 1] * e[:k - 1]
+        t.flat[::k + 1] = diag
+        t.flat[1::k + 1] = t.flat[k::k + 1] = d[:k - 1] * e[:k - 1]
+        if k == q:
+            return np.sqrt(np.linalg.eigvalsh(t)[:-r - 1:-1])
+        lam, x = np.linalg.eigh(t)
+        lam, last = lam[:-r - 1:-1], x[-1, :-r - 1:-1]
+        if np.all(d[k - 1] * e[k - 1] * np.abs(last) <= eps * lam[0]):
+            return np.sqrt(lam)
+        k = min(q, 2 * k)
 
 
 def _haar_frame(gen: np.random.Generator, d: int, r: int) -> Array:
@@ -280,11 +339,16 @@ def read_matrix_text(inp: TextIO) -> Array:
 
 def save_instance(path: Union[str, "io.PathLike"],
                   inst: Union[MfInstance, LinRegInstance]) -> None:
-    """Write an instance's matrices in the text format, one after another."""
+    """Write an instance's matrices in the text format, one after another.
+
+    An MF instance is written as its factors U_r, sigma (one row) and V_r,
+    so the file is O((m + n) r) and reloads to the same bits of Y.
+    """
     with open(path, "w") as out:
         if isinstance(inst, MfInstance):
             out.write(f"mf {inst.m} {inst.n} {inst.r} {inst.seed}\n")
-            write_matrix_text(out, inst.y)
+            for x in (inst.u, inst.sigma[None, :], inst.v):
+                write_matrix_text(out, x)
         else:
             out.write(f"linreg {inst.m} {inst.n} {inst.k} {inst.seed}\n")
             write_matrix_text(out, inst.x)
@@ -297,7 +361,9 @@ def load_instance(path: Union[str, "io.PathLike"]
         head = inp.readline().split()
         if head[0] == "mf":
             m, n, r, seed = (int(v) for v in head[1:5])
-            return MfInstance(y=read_matrix_text(inp), m=m, n=n, r=r, seed=seed)
+            u, sigma, v = (read_matrix_text(inp) for _ in range(3))
+            return MfInstance(u=u, sigma=sigma[0], v=v, m=m, n=n, r=r,
+                              seed=seed)
         if head[0] == "linreg":
             m, n, k, seed = (int(v) for v in head[1:5])
             return LinRegInstance(x=read_matrix_text(inp),

@@ -92,6 +92,35 @@ class TestRunFlags:
         assert flag in capsys.readouterr().err
 
 
+class TestDims:
+    """Out-of-range instance dimensions are usage errors, found before
+    any instance is built."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["linreg", "--rank", "3"], "--rank"),
+        (["mf", "--m", "4", "--n", "3", "--rank", "5"], "--rank"),
+        (["mf", "--m", "0", "--n", "3", "--rank", "1"], "--m"),
+        (["mf", "--m", "3", "--n", "0", "--rank", "1"], "--n"),
+        (["compare", "--problem", "linreg", "--k", "0"], "--k"),
+        (["compare", "--m", "5", "--n", "6", "--rank", "6"], "--rank"),
+        (["bound-scan", "--rank", "3"], "--rank"),
+        (["bound-scan", "--k", "0"], "--k"),
+    ])
+    def test_usage_error(self, capsys, monkeypatch, argv, flag):
+        for name in ("make_mf", "make_linreg"):
+            monkeypatch.setattr(problems, name, _no_build)
+        assert run_cli(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_k_ignored_for_mf(self):
+        assert run_cli(["compare", "--k", "0", "--m", "8", "--n", "6",
+                        "--rank", "2", "--steps", "2"]) == 0
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("built an instance")
+
+
 class TestConfigFile:
     def test_flags_equal_config(self, tmp_path):
         out_flags = tmp_path / "flags.csv"

@@ -1,9 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reflora import problems
+from reflora.rng import STREAM_INSTANCE, stream as rng_stream
 from reflora.refactor import LowRankFactors
 
 from conftest import gen, rel_err
@@ -29,6 +31,13 @@ def fd_grad_pair(problem, f, h=1e-6):
             down[i, j] -= h
             g_b[i, j] = (loss_of(f.a, up) - loss_of(f.a, down)) / (2 * h)
     return g_a, g_b
+
+
+def draw_bidiagonal(stream, p, q):
+    """The chi draws of the bidiagonal model, as `make_mf` takes them."""
+    d = np.sqrt(stream.chisquare(np.arange(p, p - q, -1, dtype=float)))
+    e = np.sqrt(stream.chisquare(np.arange(q - 1, 0, -1, dtype=float)))
+    return d, e
 
 
 class TestMakeMf:
@@ -286,29 +295,31 @@ class TestValueAndGrad:
                 assert problem.loss_at_factors(LowRankFactors(a, b)) >= 0.0
 
     def test_make_mf_factored_construction(self):
-        # Y = U_r diag(sigma) V_r^T: sigma from the Gram spectrum of the
-        # instance stream's Gaussian matrix, then U_r and V_r as sign-fixed
-        # QR frames of the next draws from the same stream
-        from reflora import rng
+        # Y = U_r diag(sigma) V_r^T: sigma from the bidiagonal model drawn
+        # from the instance stream (at min(m, n) = 9 the leading block is
+        # all of T = B^T B), then U_r and V_r as sign-fixed QR frames of the
+        # next draws from the same stream
         for m, n in ((13, 9), (9, 13)):
             problem, inst = problems.make_mf(m, n, 4, seed=47)
-            stream = rng.stream(47, rng.STREAM_INSTANCE)
-            full = stream.standard_normal((m, n))
-            gram = full.T @ full if m >= n else full @ full.T
-            sigma = np.sqrt(np.linalg.eigvalsh(gram)[::-1][:4])
+            stream = rng_stream(47, STREAM_INSTANCE)
+            d, e = draw_bidiagonal(stream, max(m, n), min(m, n))
+            t = (np.diag(d * d + np.r_[0.0, e * e])
+                 + np.diag(d[:-1] * e, 1) + np.diag(d[:-1] * e, -1))
+            sigma = np.sqrt(np.linalg.eigvalsh(t)[::-1][:4])
             frames = []
-            for d in (m, n):
-                q, r = np.linalg.qr(stream.standard_normal((d, 4)))
+            for dim in (m, n):
+                q, r = np.linalg.qr(stream.standard_normal((dim, 4)))
                 frames.append(q * np.sign(np.diag(r)))
             u, v = frames
-            assert np.array_equal(problem.sigma, sigma)
-            assert np.array_equal(problem.u, u)
-            assert np.array_equal(problem.v, v)
+            for obj in (problem, inst):
+                assert np.array_equal(obj.sigma, sigma)
+                assert np.array_equal(obj.u, u)
+                assert np.array_equal(obj.v, v)
             assert np.array_equal(inst.y, (u * sigma) @ v.T)
-            assert problem.y is inst.y
-            # the singular values the old full SVD kept
-            s = np.linalg.svd(full, compute_uv=False)[:4]
-            assert np.max(np.abs(problem.sigma - s) / s) <= 1e-12
+            assert np.array_equal(problem.y, inst.y)
+            # the singular values of the full bidiagonal
+            s = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)[:4]
+            assert np.max(np.abs(problem.sigma - s) / s) <= 1e-13
             eye = np.eye(4)
             assert np.max(np.abs(problem.u.T @ problem.u - eye)) <= 1e-14
             assert np.max(np.abs(problem.v.T @ problem.v - eye)) <= 1e-14
@@ -318,6 +329,15 @@ class TestValueAndGrad:
             raise AssertionError("make_mf called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", forbidden)
+        # no m x n array: at 2048^2 one would be 32 MiB
+        tracemalloc.start()
+        try:
+            problem, inst = problems.make_mf(2048, 2048, 8, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        assert problem.w_pretrained is None
         problem, inst = problems.make_mf(1024, 1024, 8, seed=3)
         assert inst.y.shape == (1024, 1024)
         assert problem.u.shape == (1024, 8) and problem.v.shape == (1024, 8)
@@ -325,3 +345,69 @@ class TestValueAndGrad:
 
     def test_module_alias_removed(self):
         assert not hasattr(problems, "grad_pair")
+
+
+class TestTopSingularValues:
+    """`make_mf`'s sigma: the law of a Gaussian matrix's top singular
+    values, from a truncated bidiagonal model."""
+
+    @pytest.mark.parametrize("m,n", [(60, 40), (40, 60)])
+    def test_law_matches_dense_gaussian(self, m, n):
+        # mean and standard deviation of the top 3 over 400 draws each;
+        # the largest |z| on these seeds is 2.31 (the sd of the second value)
+        draws = 400
+        ours = np.array([problems.make_mf(m, n, 3, seed)[1].sigma
+                         for seed in range(draws)])
+        g = gen(48)
+        dense = np.array([np.linalg.svd(g.standard_normal((m, n)),
+                                        compute_uv=False)[:3]
+                          for _ in range(draws)])
+        sd_a, sd_b = ours.std(0, ddof=1), dense.std(0, ddof=1)
+        z_mean = (ours.mean(0) - dense.mean(0)) / np.sqrt(
+            (sd_a ** 2 + sd_b ** 2) / draws)
+        z_sd = (sd_a - sd_b) / np.sqrt((sd_a ** 2 + sd_b ** 2)
+                                       / (2 * (draws - 1)))
+        assert np.all(np.abs(z_mean) <= 4.0)
+        assert np.all(np.abs(z_sd) <= 4.0)
+
+    @pytest.mark.parametrize("p,q", [(1024, 1024), (2048, 512)])
+    def test_truncation_matches_full_bidiagonal(self, monkeypatch, p, q):
+        blocks = []
+        eigh = np.linalg.eigh
+
+        def spy(t):
+            blocks.append(t.shape[0])
+            return eigh(t)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for seed in range(3):
+            sigma = problems._top_singular_values(
+                rng_stream(seed, STREAM_INSTANCE), p, q, 8)
+            d, e = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE), p, q)
+            s = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)[:8]
+            assert np.max(np.abs(sigma - s) / s) <= 1e-13
+        # the leading block sufficed: T itself was never decomposed
+        assert max(blocks) < q
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (1, 5)])
+    def test_one_singular_value(self, m, n):
+        for seed in range(5):
+            _, inst = problems.make_mf(m, n, 1, seed)
+            d, _ = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE),
+                                   max(m, n), 1)
+            assert inst.sigma.shape == (1,)
+            assert inst.sigma[0] == pytest.approx(d[0], rel=1e-15)
+
+    @pytest.mark.parametrize("m,n", [(7, 5), (5, 7), (3, 3), (40, 40)])
+    def test_all_singular_values(self, m, n):
+        # r = q: sigma^2 are eigenvalues of B^T B, so each is accurate to
+        # a few eps * sigma_1^2 (small ones lose relative accuracy)
+        q = min(m, n)
+        for seed in range(20):
+            _, inst = problems.make_mf(m, n, q, seed)
+            d, e = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE),
+                                   max(m, n), q)
+            s = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)
+            assert inst.sigma.shape == (q,)
+            assert np.all(np.diff(inst.sigma) <= 0.0)
+            assert np.max(np.abs(inst.sigma ** 2 - s ** 2)) <= 1e-13 * s[0] ** 2
