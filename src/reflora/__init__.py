@@ -14,9 +14,8 @@ from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
                      RefloraError, ZeroFactor)
 from .refactor import (Balance, LowRankFactors, RefactorMode, RefactorResult,
                        balance, balanced_mode, c_tilde, g_objective, geometric_mean_s,
-                       identity_mode, optimal_s, optimal_scalar, scalar_mode,
-                       scalar_theorem_exact_mode, theorem_exact_mode,
-                       upper_bound_eval)
+                       identity_mode, optimal_s, optimal_scalar,
+                       theorem_exact_mode, upper_bound_eval)
 from .optim import (GradientPair, OptimizerState, StepConfig, adam_update,
                     delta_w, horizontal_check, reflora_step)
 from .problems import (LinRegInstance, MfInstance, Problem, init_factors,
@@ -29,8 +28,7 @@ __all__ = [
     "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
     "ZeroFactor", "InvalidEta",
     "LowRankFactors", "RefactorMode", "RefactorResult", "Balance", "balance",
-    "balanced_mode", "theorem_exact_mode", "scalar_mode",
-    "scalar_theorem_exact_mode", "identity_mode",
+    "balanced_mode", "theorem_exact_mode", "identity_mode",
     "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",
     "upper_bound_eval", "c_tilde",
     "GradientPair", "OptimizerState", "StepConfig",

@@ -10,6 +10,7 @@ read against the machine that produced them.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional, Sequence
@@ -71,24 +72,20 @@ _MF_FLAGS = [
     ("sigma-b", float, 0.0, "stddev of the B init (0 = zero init)"),
 ]
 
+_LINREG_FLAGS = [
+    ("m", int, 2, "output dimension"),
+    ("n", int, 2, "input dimension"),
+    ("k", int, 2, "sample count"),
+    ("rank", int, 1, "factor rank"),
+    ("sigma-a", float, LINREG_SIGMA_A, "stddev of the A init"),
+    ("sigma-b", float, LINREG_SIGMA_B, "stddev of the B init"),
+]
+
 _FLAGS = {
     "mf": _MF_FLAGS + _RUN_FLAGS,
-    "linreg": [
-        ("m", int, 2, "output dimension"),
-        ("n", int, 2, "input dimension"),
-        ("k", int, 2, "sample count"),
-        ("rank", int, 1, "factor rank"),
-        ("sigma-a", float, LINREG_SIGMA_A, "stddev of the A init"),
-        ("sigma-b", float, LINREG_SIGMA_B, "stddev of the B init"),
-    ] + _RUN_FLAGS,
-    "bound-scan": [
-        ("m", int, 2, "output dimension"),
-        ("n", int, 2, "input dimension"),
-        ("k", int, 2, "sample count"),
-        ("rank", int, 1, "factor rank"),
+    "linreg": _LINREG_FLAGS + _RUN_FLAGS,
+    "bound-scan": _LINREG_FLAGS + [
         ("seed", int, 0, "base seed"),
-        ("sigma-a", float, LINREG_SIGMA_A, "stddev of the A init"),
-        ("sigma-b", float, LINREG_SIGMA_B, "stddev of the B init"),
         ("eta-min", float, -0.5, "grid start"),
         ("eta-max", float, 0.5, "grid end"),
         ("points", int, 201, "grid points (exact zeros are dropped)"),
@@ -130,9 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, ftype, default, help_text in flags:
             sub.add_argument(f"--{flag}", type=ftype, default=default,
                              help=help_text)
-        if name == "props-report":
-            sub.add_argument("--inject-fault", action="store_true",
-                             help=argparse.SUPPRESS)
     return parser
 
 
@@ -227,28 +221,28 @@ def _header_lines(args: argparse.Namespace, command: str) -> list[str]:
     return lines
 
 
+@contextlib.contextmanager
 def _open_out(path: str):
+    """The output stream: the current sys.stdout for -, else the file."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as out:
+            yield out
 
 
 def _build_mode(args, problem_lipschitz: Optional[float]) -> refactor.RefactorMode:
-    mode = args.mode
-    root = args.root
-    if root not in (refactor.ROOT_PLUS, refactor.ROOT_MINUS):
-        raise UsageError(f"--root: expected plus or minus, got {root!r}")
-    if mode not in ("balanced", "theorem-exact", "identity"):
-        raise UsageError(f"--mode: unknown mode {mode!r}")
-    if mode == "theorem-exact":
+    lip = None
+    if args.mode == refactor.THEOREM_EXACT:
         lip = args.lipschitz if args.lipschitz is not None else problem_lipschitz
-        if lip is None or lip <= 0:
-            raise UsageError("--lipschitz: theorem-exact mode needs a positive "
-                             "Lipschitz constant")
-        return refactor.theorem_exact_mode(lip, root)
-    if mode == "identity":
-        return refactor.identity_mode()
-    return refactor.balanced_mode()
+        if lip is None or not 0 < lip < np.inf:
+            raise UsageError("--lipschitz: theorem-exact mode needs a finite "
+                             "positive Lipschitz constant")
+    try:
+        return refactor.RefactorMode(args.mode, lipschitz=lip, root=args.root)
+    except ValueError as exc:
+        flag = "mode" if args.mode not in refactor.MODES else "root"
+        raise UsageError(f"--{flag}: {exc}") from exc
 
 
 def _check_format(args) -> None:
@@ -280,7 +274,7 @@ def _check_run_flags(args, methods: Sequence[str], method_flag: str,
         raise UsageError(f"--optimizer: unknown optimizer {args.optimizer!r}")
     if optim.METHOD_SCALEDGD in methods and args.optimizer != optim.GD:
         raise UsageError("--optimizer: scaledgd is a plain-GD baseline")
-    if optim.METHOD_REFLORA_S in methods and args.mode == "identity":
+    if optim.METHOD_REFLORA_S in methods and args.mode == refactor.IDENTITY:
         raise UsageError("--mode: identity makes reflora-s a no-op; "
                          "use --method lora instead")
     if args.warmup < 0:
@@ -303,7 +297,7 @@ def _build_problem(problem_kind: str, args) -> Problem:
 def _cmd_run(args, command: str) -> int:
     problem_kind = "mf" if command == "mf" else "linreg"
     _check_run_flags(args, [args.method], "method", problem_kind)
-    if args.eta == 0 and args.mode == "theorem-exact":
+    if args.eta == 0 and args.mode == refactor.THEOREM_EXACT:
         raise UsageError("--eta: eta = 0 is the jump discontinuity of the "
                          "optimal refactoring; the bound minimizer is "
                          "undefined there")
@@ -320,13 +314,9 @@ def _cmd_run(args, command: str) -> int:
         log_every=args.log_every, sigma_a=args.sigma_a, sigma_b=args.sigma_b,
         weight_decay=args.weight_decay, alpha=args.alpha)
     result = harness.run(spec, problem)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         harness.write_trace_csv(out, result.records,
                                 _header_lines(args, command))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -337,19 +327,15 @@ def _cmd_bound_scan(args) -> int:
         raise UsageError("--points: need at least two grid points")
     if args.eta_min >= args.eta_max:
         raise UsageError("--eta-min: must be below --eta-max")
-    if args.root not in (refactor.ROOT_PLUS, refactor.ROOT_MINUS):
+    if args.root not in refactor.ROOTS:
         raise UsageError(f"--root: expected plus or minus, got {args.root!r}")
     spec = harness.BoundScanSpec(
         m=args.m, n=args.n, k=args.k, r=args.rank, seed=args.seed,
         eta_min=args.eta_min, eta_max=args.eta_max, points=args.points,
         sigma_a=args.sigma_a, sigma_b=args.sigma_b, root=args.root)
     rows = harness.bound_scan(spec)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         harness.write_bound_scan_csv(out, rows, _header_lines(args, "bound-scan"))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -377,12 +363,8 @@ def _cmd_compare(args) -> int:
                 sigma_b=args.sigma_b, weight_decay=args.weight_decay,
                 alpha=args.alpha, label=f"{method}-eta{eta:g}"))
     table = harness.compare(specs, problem=problem)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         harness.write_compare_csv(out, table, _header_lines(args, "compare"))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -395,40 +377,27 @@ def _cmd_overhead(args) -> int:
     if args.repeats < 10:
         raise UsageError("--repeats: need at least 10 for a stable median")
     rows = harness.overhead_probe(dims, ranks, args.repeats, args.seed)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         harness.write_overhead_csv(out, rows, _header_lines(args, "overhead"))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_props_report(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials: must be >= 1")
-    if getattr(args, "inject_fault", False):
-        with props.inject_refactor_fault():
-            results = props.run_all(args.seed, args.trials)
-    else:
-        results = props.run_all(args.seed, args.trials)
-    out, close = _open_out(args.out)
-    try:
+    results = props.run_all(args.seed, args.trials)
+    failures = sum(not r.passed for r in results)
+    with _open_out(args.out) as out:
         for line in _header_lines(args, "props-report"):
             out.write(f"# {line}\n")
         width = max(len(r.name) for r in results)
         out.write(f"{'invariant':<{width}}  {'residual':>12}  "
                   f"{'tolerance':>12}  status\n")
-        failures = 0
         for r in results:
             status = "pass" if r.passed else "FAIL"
-            failures += 0 if r.passed else 1
             out.write(f"{r.name:<{width}}  {r.residual:>12.3e}  "
                       f"{r.tolerance:>12.3e}  {status}\n")
         out.write(f"{len(results) - failures}/{len(results)} invariants pass\n")
-    finally:
-        if close:
-            out.close()
     return 0 if failures == 0 else 1
 
 

@@ -429,7 +429,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
                 optim.METHOD_LORA_GD: None,
                 optim.METHOD_REFLORA: refactor.geometric_mean_s,
                 optim.METHOD_REFLORA_S: lambda p: refactor.optimal_scalar(
-                    p, eta, refactor.scalar_mode()),
+                    p, eta, refactor.balanced_mode()),
                 optim.METHOD_SCALEDGD: refactor.balance,
             }
             medians = {name: _median_time_ns(fn, f, repeats)

@@ -139,14 +139,7 @@ def _reflora(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
 
 
 def _reflora_s(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    mode = cfg.refactor_mode
-    if mode.kind == refactor.BALANCED:
-        mode = refactor.scalar_mode()
-    elif mode.kind == refactor.THEOREM_EXACT:
-        mode = refactor.scalar_theorem_exact_mode(mode.lipschitz, mode.root)
-    elif not mode.is_scalar:
-        raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
-    return None, None, refactor.optimal_scalar(f, cfg.eta, mode).s_scalar
+    return None, None, refactor.optimal_scalar(f, cfg.eta, cfg.refactor_mode).s_scalar
 
 
 def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
@@ -175,10 +168,12 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     equals refactoring to the S-balanced pair, stepping there and
     refactoring back; `scaledgd` by ((B^T B)^{-1}, (A^T A)^{-1}), raising
     IllConditioned when one leaves the normal float range; `reflora-s`
-    rescales the pair to (sqrt(s) A, B / sqrt(s)) with the optimal scalar
-    s and keeps it, with no second refactoring. The update rule is then GD, or Adam/AdamW (`adam_update`)
-    on the original axes, except that under `reflora-s` the A-moments are
-    rescaled by 1/sqrt(s) and 1/s and the B-moments by sqrt(s) and s.
+    rescales the pair to (sqrt(s) A, B / sqrt(s)) with s from
+    `refactor.optimal_scalar` (ValueError in identity mode) and keeps it,
+    with no second refactoring. The update rule is then GD, or Adam/AdamW
+    (`adam_update`) on the original axes, except that under `reflora-s`
+    the A-moments are rescaled by 1/sqrt(s) and 1/s and the B-moments by
+    sqrt(s) and s.
 
     A pair the method cannot precondition (RankDeficient; ZeroFactor for
     `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`

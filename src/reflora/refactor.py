@@ -4,9 +4,12 @@ Given factors (A, B) of an adapter increment A @ B.T, any invertible P
 yields an equivalent pair (A P, B P^{-T}); the induced one-step weight
 update depends on P only through the SPD matrix S = P P^T. This module
 computes the S minimizing a quadratic upper bound on the post-step loss:
-the balanced choice (the matrix geometric mean of (A^T A)^{-1} and B^T B),
-the exact bound minimizer with its small-learning-rate scaling branch, and
-the scalar restriction S = s I, plus the bound evaluation itself.
+the balanced S (the matrix geometric mean of (A^T A)^{-1} and B^T B),
+scaled by gamma on the small-learning-rate branch of theorem-exact mode.
+One scaling, `_bound_scaling`, serves both the matrix minimizer
+`optimal_s` and its restriction S = s I, `optimal_scalar`; whether S is a
+matrix or a scalar follows from the method, not from the mode. The bound
+evaluation itself is here too.
 
 Every matrix quantity comes from one kernel, `balance`, which works on the
 R-factors of A and B and never forms A @ B.T or inverts a Gram matrix.
@@ -106,22 +109,21 @@ def _read_only(x: Array) -> Array:
 
 BALANCED = "balanced"
 THEOREM_EXACT = "theorem-exact"
-SCALAR = "scalar"
-SCALAR_THEOREM_EXACT = "scalar-theorem-exact"
 IDENTITY = "identity"
+MODES = (BALANCED, THEOREM_EXACT, IDENTITY)
 
 ROOT_PLUS = "plus"
 ROOT_MINUS = "minus"
+ROOTS = (ROOT_PLUS, ROOT_MINUS)
 
 
 @dataclass(frozen=True)
 class RefactorMode:
-    """How S is chosen per step.
+    """How S is chosen per step; whether S is a matrix or s I is the method's.
 
-    kind 'balanced' takes the geometric mean for every learning rate;
+    kind 'balanced' takes the balanced S for every learning rate;
     'theorem-exact' additionally applies the small-eta scaling branch,
     which needs the gradient-Lipschitz constant and a root choice;
-    'scalar'/'scalar-theorem-exact' are the S = s I restrictions;
     'identity' fixes S = I and reproduces the unrefactored update.
     """
 
@@ -130,19 +132,14 @@ class RefactorMode:
     root: str = ROOT_PLUS
 
     def __post_init__(self):
-        if self.kind not in (BALANCED, THEOREM_EXACT, SCALAR,
-                             SCALAR_THEOREM_EXACT, IDENTITY):
+        if self.kind not in MODES:
             raise ValueError(f"unknown refactor mode {self.kind!r}")
-        if self.root not in (ROOT_PLUS, ROOT_MINUS):
+        if self.root not in ROOTS:
             raise ValueError(f"root choice must be 'plus' or 'minus', got {self.root!r}")
-        if self.kind in (THEOREM_EXACT, SCALAR_THEOREM_EXACT):
+        if self.kind == THEOREM_EXACT:
             if self.lipschitz is None or not np.isfinite(self.lipschitz) \
                     or self.lipschitz <= 0:
-                raise ValueError("theorem-exact modes need a finite positive lipschitz")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.kind in (SCALAR, SCALAR_THEOREM_EXACT)
+                raise ValueError("theorem-exact mode needs a finite positive lipschitz")
 
 
 def balanced_mode() -> RefactorMode:
@@ -151,14 +148,6 @@ def balanced_mode() -> RefactorMode:
 
 def theorem_exact_mode(lipschitz: float, root: str = ROOT_PLUS) -> RefactorMode:
     return RefactorMode(THEOREM_EXACT, lipschitz=lipschitz, root=root)
-
-
-def scalar_mode() -> RefactorMode:
-    return RefactorMode(SCALAR)
-
-
-def scalar_theorem_exact_mode(lipschitz: float, root: str = ROOT_PLUS) -> RefactorMode:
-    return RefactorMode(SCALAR_THEOREM_EXACT, lipschitz=lipschitz, root=root)
 
 
 def identity_mode() -> RefactorMode:
@@ -179,11 +168,12 @@ class RefactorResult:
     """Chosen S (matrix or scalar, exactly one set) plus diagnostics.
 
     c_tilde is the learning-rate threshold constant of the bound: twice the
-    nuclear norm of A @ B.T for matrix modes, and its scalar analogue
-    2 ||A||_F ||B||_F for scalar modes. g_value is the bound objective
-    ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2 evaluated at the returned S;
-    on the balanced branch it equals c_tilde, on the small-eta branches it
-    equals 1 / (L eta). Matrix results carry S^{-1} in s_inverse.
+    nuclear norm of A @ B.T for a matrix S, and 2 ||A||_F ||B||_F, the same
+    constant restricted to S = s I, for a scalar. g_value is the bound
+    objective ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2 evaluated at the
+    returned S; on the balanced branch it equals c_tilde, on the small-eta
+    branches it equals 1 / (L eta). Matrix results carry S^{-1} in
+    s_inverse.
     """
 
     branch: str
@@ -377,16 +367,6 @@ def geometric_mean_s(f: LowRankFactors) -> Array:
     return balance(f).require_full_rank().s
 
 
-def _scaling_roots(x: float) -> tuple[float, float]:
-    """Both solutions of gamma + 1/gamma = 2x for x >= 1, largest first.
-
-    The roots multiply to one, so the minus root is computed as the
-    reciprocal of the plus root to avoid cancellation for large x.
-    """
-    plus = x + np.sqrt(max(x * x - 1.0, 0.0))
-    return float(plus), float(1.0 / plus)
-
-
 def g_objective(f: LowRankFactors, s: Array) -> float:
     """Bound objective g(S) = ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2.
 
@@ -408,18 +388,36 @@ def g_objective(f: LowRankFactors, s: Array) -> float:
     return float(np.sum(gram(f.a) * s) + np.sum((l_inv @ f.b.T) ** 2))
 
 
+def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, str]:
+    """The factor gamma on the balanced S, and the branch it lies on.
+
+    In theorem-exact mode with 0 < eta < 1/(c_tilde L), gamma is the
+    chosen root of gamma + 1/gamma = 2 / (c_tilde L eta), which makes
+    g(gamma S) = 1/(L eta); the roots multiply to one, so the minus root is
+    taken as the reciprocal of the plus root, free of cancellation. At or
+    above the threshold, for eta < 0 (kept for bound visualization) and in
+    balanced mode, gamma = 1. eta = 0 is rejected in theorem-exact mode:
+    the bound minimizer has a jump discontinuity there.
+    """
+    if mode.kind == BALANCED:
+        return 1.0, BRANCH_BALANCED
+    if eta == 0.0:
+        raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
+    if eta < 0.0 or eta >= 1.0 / (ct * mode.lipschitz):
+        return 1.0, BRANCH_BALANCED
+    x = 1.0 / (ct * mode.lipschitz * eta)
+    plus = float(x + np.sqrt(max(x * x - 1.0, 0.0)))
+    if mode.root == ROOT_PLUS:
+        return plus, BRANCH_SMALL_ETA_PLUS
+    return 1.0 / plus, BRANCH_SMALL_ETA_MINUS
+
+
 def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
     """S minimizing the loss upper bound, per the configured mode.
 
-    In theorem-exact mode with 0 < eta < 1/(c_tilde * L) the balanced
-    matrix is scaled by gamma solving g(gamma S) = 1/(L eta); at or above
-    the threshold (and for eta < 0, kept for bound visualization) the
-    balanced matrix itself is optimal. eta = 0 is rejected: the bound
-    minimizer has a jump discontinuity there.
+    The balanced S from the kernel, scaled by `_bound_scaling`'s gamma
+    (and S^{-1} by 1/gamma); identity mode returns S = I.
     """
-    if mode.is_scalar:
-        raise ValueError("scalar modes are handled by optimal_scalar")
-
     k = balance(f)
     if mode.kind == IDENTITY:
         eye = np.eye(f.r)
@@ -427,40 +425,25 @@ def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResu
         return RefactorResult(BRANCH_IDENTITY, k.c_tilde, g, s_matrix=eye,
                               s_inverse=eye)
 
-    k.require_full_rank()
-    ct = k.c_tilde
-    balanced = RefactorResult(BRANCH_BALANCED, ct, ct, s_matrix=k.s,
-                              s_inverse=k.s_inv)
-    if mode.kind == BALANCED:
-        return balanced
-
-    # theorem-exact
-    lip = float(mode.lipschitz)
-    if eta == 0.0:
-        raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
-    if eta < 0.0 or eta >= 1.0 / (ct * lip):
-        return balanced
-
-    x = 1.0 / (ct * lip * eta)
-    gamma_plus, gamma_minus = _scaling_roots(x)
-    if mode.root == ROOT_PLUS:
-        gamma, branch = gamma_plus, BRANCH_SMALL_ETA_PLUS
-    else:
-        gamma, branch = gamma_minus, BRANCH_SMALL_ETA_MINUS
-    return RefactorResult(branch, ct, 1.0 / (lip * eta), s_matrix=gamma * k.s,
-                          s_inverse=k.s_inv / gamma)
+    ct = k.require_full_rank().c_tilde
+    gamma, branch = _bound_scaling(ct, eta, mode)
+    if branch == BRANCH_BALANCED:
+        return RefactorResult(branch, ct, ct, s_matrix=k.s, s_inverse=k.s_inv)
+    return RefactorResult(branch, ct, 1.0 / (mode.lipschitz * eta),
+                          s_matrix=gamma * k.s, s_inverse=k.s_inv / gamma)
 
 
 def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
-    """Optimal scalar refactoring s, the S = s I restriction.
+    """The same bound minimizer restricted to S = s I.
 
-    The balanced value ||B||_F / ||A||_F equalizes the factor norms; the
-    small-eta branch of scalar-theorem-exact mode solves the quadratic
-    ||A||_F^2 s + ||B||_F^2 / s = 1/(L eta) instead. c_tilde in the result
-    is the scalar threshold constant 2 ||A||_F ||B||_F.
+    The balanced value ||B||_F / ||A||_F equalizes the factor norms, and
+    c_tilde becomes 2 ||A||_F ||B||_F; `_bound_scaling`'s gamma then scales
+    it exactly as it scales the matrix S, so on the small-eta branches
+    s solves ||A||_F^2 s + ||B||_F^2 / s = 1/(L eta). Identity mode has no
+    scalar form and raises ValueError.
     """
-    if not mode.is_scalar:
-        raise ValueError("optimal_scalar needs a scalar refactor mode")
+    if mode.kind == IDENTITY:
+        raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
     a2 = float(np.sum(f.a * f.a))
     b2 = float(np.sum(f.b * f.b))
     if a2 == 0.0 or b2 == 0.0:
@@ -468,28 +451,10 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Refacto
     norm_a = np.sqrt(a2)
     norm_b = np.sqrt(b2)
     ct = 2.0 * norm_a * norm_b
-
-    if mode.kind == SCALAR:
-        s = norm_b / norm_a
-        return RefactorResult(BRANCH_BALANCED, ct, a2 * s + b2 / s, s_scalar=s)
-
-    lip = float(mode.lipschitz)
-    if eta == 0.0:
-        raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
-    if eta < 0.0 or eta >= 1.0 / (ct * lip):
-        s = norm_b / norm_a
-        return RefactorResult(BRANCH_BALANCED, ct, a2 * s + b2 / s, s_scalar=s)
-
-    x = 1.0 / (lip * eta)
-    root = np.sqrt(max(x * x - 4.0 * a2 * b2, 0.0))
-    if mode.root == ROOT_PLUS:
-        s = (x + root) / (2.0 * a2)
-        branch = BRANCH_SMALL_ETA_PLUS
-    else:
-        # conjugate form avoids cancellation when 4 a^2 b^2 << x^2
-        s = 2.0 * b2 / (x + root)
-        branch = BRANCH_SMALL_ETA_MINUS
-    return RefactorResult(branch, ct, x, s_scalar=float(s))
+    gamma, branch = _bound_scaling(ct, eta, mode)
+    s = float(gamma * (norm_b / norm_a))
+    g = a2 * s + b2 / s if branch == BRANCH_BALANCED else 1.0 / (mode.lipschitz * eta)
+    return RefactorResult(branch, ct, g, s_scalar=s)
 
 
 def upper_bound_eval(f: LowRankFactors, s: Array, eta: float, lipschitz: float,

@@ -146,10 +146,10 @@ def test_criterion_05_scalar_branches():
         eta_c = 1.0 / (2.0 * np.sqrt(a2 * b2) * lip)
         eta = float(g.uniform(0.001, 0.999)) * eta_c
         for root in ("plus", "minus"):
-            mode = refactor.scalar_theorem_exact_mode(lip, root)
+            mode = refactor.theorem_exact_mode(lip, root)
             s = refactor.optimal_scalar(f, eta, mode).s_scalar
             worst_h = max(worst_h, (a2 * s + b2 / s - 1.0 / (lip * eta)) ** 2)
-        s_bal = refactor.optimal_scalar(f, 2.0 * eta_c, refactor.scalar_mode())
+        s_bal = refactor.optimal_scalar(f, 2.0 * eta_c, refactor.balanced_mode())
         ratio = np.sqrt(b2) / np.sqrt(a2)
         worst_ratio = max(worst_ratio, abs(s_bal.s_scalar - ratio) / ratio)
     report(5, "scalar optimum: zero residual small-eta, norm ratio large-eta",
@@ -245,7 +245,7 @@ def test_criterion_08_dual_path_equivalences():
                                m_b=g.standard_normal((n, r)),
                                v_b=g.random((n, r)), step=4)
         got, _ = optim.reflora_step(f, gp, cfg_s, state)
-        s = refactor.optimal_scalar(f, cfg_s.eta, refactor.scalar_mode()).s_scalar
+        s = refactor.optimal_scalar(f, cfg_s.eta, refactor.balanced_mode()).s_scalar
         rs = np.sqrt(s)
         want_a, _, _ = optim.adam_update(rs * f.a, gp.g_a / rs,
                                          state.m_a / rs, state.v_a / s, 5,

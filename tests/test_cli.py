@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from reflora import cli, problems
+from reflora import cli, problems, props
 
 
 def run_cli(args, capsys=None):
@@ -90,6 +90,21 @@ class TestRunFlags:
     def test_usage_error(self, capsys, argv, flag):
         assert run_cli(argv + ["--steps", "3", "--m", "8", "--n", "6"]) == 2
         assert flag in capsys.readouterr().err
+
+
+class TestModeFlags:
+    """A bad refactor mode, root or Lipschitz constant is a usage error
+    that names its flag."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["mf", "--mode", "bogus"], "--mode"),
+        (["mf", "--root", "sideways"], "--root"),
+        (["mf", "--mode", "theorem-exact", "--lipschitz", "-1"], "--lipschitz"),
+        (["bound-scan", "--root", "sideways"], "--root"),
+    ])
+    def test_usage_error(self, capsys, argv, flag):
+        assert run_cli(argv + ["--m", "6", "--n", "5", "--rank", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"reflora: error: {flag}:")
 
 
 class TestDims:
@@ -316,8 +331,9 @@ class TestPropsReport:
 
     def test_injected_fault_fails_stationarity(self, tmp_path):
         out = tmp_path / "props.txt"
-        code = run_cli(["props-report", "--trials", "5", "--inject-fault",
-                        "--out", str(out)])
+        with props.inject_refactor_fault():
+            code = run_cli(["props-report", "--trials", "5",
+                            "--out", str(out)])
         assert code == 1
         line = next(l for l in out.read_text().splitlines()
                     if l.startswith("refactor.stationarity"))

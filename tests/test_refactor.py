@@ -169,7 +169,7 @@ class TestOptimalScalar:
         a = np.zeros((3, 1)); a[0, 0] = 2.0
         b = np.zeros((4, 1)); b[2, 0] = 1.0
         f = LowRankFactors(a, b)
-        res = refactor.optimal_scalar(f, 10.0, refactor.scalar_mode())
+        res = refactor.optimal_scalar(f, 10.0, refactor.balanced_mode())
         assert res.s_scalar == pytest.approx(0.5, rel=1e-15)
         assert res.branch == refactor.BRANCH_BALANCED
 
@@ -178,8 +178,8 @@ class TestOptimalScalar:
         a = np.zeros((2, 1)); a[0, 0] = 1.0
         b = np.zeros((2, 1)); b[1, 0] = 1.0
         f = LowRankFactors(a, b)
-        mode_p = refactor.scalar_theorem_exact_mode(1.0, "plus")
-        mode_m = refactor.scalar_theorem_exact_mode(1.0, "minus")
+        mode_p = refactor.theorem_exact_mode(1.0, "plus")
+        mode_m = refactor.theorem_exact_mode(1.0, "minus")
         assert refactor.optimal_scalar(f, 0.25, mode_p).s_scalar == \
             pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
         assert refactor.optimal_scalar(f, 0.25, mode_m).s_scalar == \
@@ -193,7 +193,7 @@ class TestOptimalScalar:
         lip = 1.0
         eta = 0.05 / (2.0 * np.sqrt(a2 * b2) * lip)
         for root in ("plus", "minus"):
-            mode = refactor.scalar_theorem_exact_mode(lip, root)
+            mode = refactor.theorem_exact_mode(lip, root)
             s = refactor.optimal_scalar(f, eta, mode).s_scalar
             h = (a2 * s + b2 / s - 1.0 / (lip * eta)) ** 2
             assert h <= 1e-16
@@ -201,15 +201,57 @@ class TestOptimalScalar:
     def test_zero_factor_rejected(self):
         f = LowRankFactors(np.ones((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ZeroFactor):
-            refactor.optimal_scalar(f, 0.1, refactor.scalar_mode())
+            refactor.optimal_scalar(f, 0.1, refactor.balanced_mode())
 
     def test_critical_point(self, rng):
         for _ in range(50):
             f = random_factors(rng, 7, 6, 3)
-            s = refactor.optimal_scalar(f, 1.0, refactor.scalar_mode()).s_scalar
+            s = refactor.optimal_scalar(f, 1.0, refactor.balanced_mode()).s_scalar
             a2 = float(np.sum(f.a ** 2))
             b2 = float(np.sum(f.b ** 2))
             assert a2 * s * s == pytest.approx(b2, rel=1e-12)
+
+    def test_matches_matrix_minimizer_at_rank_one_seed17(self):
+        # at r = 1, S = s I spans every S, so both minimizers solve the same
+        # problem; eta stays off the threshold, where the two c_tilde may
+        # differ by an ulp and pick different branches
+        g = gen(17)
+        modes = [refactor.balanced_mode()] + [
+            refactor.theorem_exact_mode(lip, root)
+            for lip in (0.5, 3.0) for root in ("plus", "minus")]
+        for _ in range(100):
+            m, n = (int(d) for d in g.integers(1, 9, size=2))
+            f = LowRankFactors(10.0 ** g.uniform(-3, 3) * g.standard_normal((m, 1)),
+                               10.0 ** g.uniform(-3, 3) * g.standard_normal((n, 1)))
+            for mode in modes:
+                lip = mode.lipschitz or 1.0
+                eta_c = 1.0 / (refactor.c_tilde(f) * lip)
+                for eta in (0.001 * eta_c, 0.3 * eta_c, 0.99 * eta_c,
+                            2.0 * eta_c, -0.5 * eta_c):
+                    mat = refactor.optimal_s(f, eta, mode)
+                    sca = refactor.optimal_scalar(f, eta, mode)
+                    assert sca.branch == mat.branch
+                    assert rel_err(sca.s_scalar, mat.s_matrix[0, 0]) <= 1e-13
+                    assert rel_err(sca.c_tilde, mat.c_tilde) <= 1e-13
+                    assert rel_err(sca.g_value, mat.g_value) <= 1e-13
+
+
+class TestRefactorMode:
+    def test_exactly_the_cli_kinds(self):
+        assert refactor.MODES == ("balanced", "theorem-exact", "identity")
+        for kind in refactor.MODES:
+            assert refactor.RefactorMode(kind, lipschitz=1.0).kind == kind
+        for kind in ("scalar", "scalar-theorem-exact", "bogus"):
+            with pytest.raises(ValueError, match="unknown refactor mode"):
+                refactor.RefactorMode(kind, lipschitz=1.0)
+
+
+class TestPublicApi:
+    def test_every_export_resolves(self):
+        import reflora
+        missing = [name for name in reflora.__all__
+                   if not hasattr(reflora, name)]
+        assert missing == []
 
 
 class TestGObjective:
