@@ -11,6 +11,7 @@ read against the machine that produced them.
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
@@ -43,6 +44,8 @@ def _str_list(text: str) -> list[str]:
 
 
 # flag tables per subcommand: (name, type, default, help)
+_OUT_FLAG = ("out", str, "-", "output path, or - for stdout")
+
 _RUN_FLAGS = [
     ("seed", int, 0, "base seed for all random streams"),
     ("eta", float, 0.01, "learning rate"),
@@ -60,8 +63,7 @@ _RUN_FLAGS = [
     ("alpha", float, None,
      "adapter scale: increment enters as (alpha/rank) A B^T; "
      "unset means factor 1"),
-    ("format", str, "csv", "output format (csv)"),
-    ("out", str, "-", "output CSV path, or - for stdout"),
+    _OUT_FLAG,
 ]
 
 _MF_FLAGS = [
@@ -90,8 +92,7 @@ _FLAGS = {
         ("eta-max", float, 0.5, "grid end"),
         ("points", int, 201, "grid points (exact zeros are dropped)"),
         ("root", str, "plus", "root choice for the optimal scaling"),
-        ("format", str, "csv", "output format (csv)"),
-        ("out", str, "-", "output CSV path, or - for stdout"),
+        _OUT_FLAG,
     ],
     "compare": [("problem", str, "mf", "mf | linreg")] + _MF_FLAGS + [
         ("k", int, 2, "sample count (linreg only)"),
@@ -103,13 +104,12 @@ _FLAGS = {
         ("ranks", str, "8,32", "comma-separated ranks"),
         ("repeats", int, 10, "timed repetitions per point (>= 10)"),
         ("seed", int, 0, "probe seed"),
-        ("format", str, "csv", "output format (csv)"),
-        ("out", str, "-", "output CSV path, or - for stdout"),
+        _OUT_FLAG,
     ],
     "props-report": [
         ("trials", int, 100, "sample count per invariant"),
         ("seed", int, 0, "sampling seed"),
-        ("out", str, "-", "report path, or - for stdout"),
+        _OUT_FLAG,
     ],
 }
 
@@ -245,11 +245,6 @@ def _build_mode(args, problem_lipschitz: Optional[float]) -> refactor.RefactorMo
         raise UsageError(f"--{flag}: {exc}") from exc
 
 
-def _check_format(args) -> None:
-    if getattr(args, "format", "csv") != "csv":
-        raise UsageError(f"--format: only csv is supported, got {args.format!r}")
-
-
 def _check_dims(args, problem_kind: str) -> None:
     """Instance dimensions and rank, checked before any instance is built."""
     flags = ("m", "n", "k") if problem_kind == "linreg" else ("m", "n")
@@ -266,7 +261,6 @@ def _check_dims(args, problem_kind: str) -> None:
 def _check_run_flags(args, methods: Sequence[str], method_flag: str,
                      problem_kind: str) -> None:
     """The flags `mf`, `linreg` and `compare` share, and their methods."""
-    _check_format(args)
     for method in methods:
         if method not in optim.METHODS:
             raise UsageError(f"--{method_flag}: unknown method {method!r}")
@@ -286,12 +280,27 @@ def _check_run_flags(args, methods: Sequence[str], method_flag: str,
     _check_dims(args, problem_kind)
 
 
-def _build_problem(problem_kind: str, args) -> Problem:
-    """The one instance a run or compare command trains on."""
-    spec = harness.RunSpec(problem=problem_kind, m=args.m, n=args.n,
-                           k=getattr(args, "k", 0), r=args.rank,
-                           seed=args.seed, eta=1.0)
-    return harness.build_problem(spec)
+def _run_specs(args, problem_kind: str, methods: Sequence[str],
+               etas: Sequence[float]) -> tuple[Problem, list[harness.RunSpec]]:
+    """The one instance a run or compare command trains on, and one spec
+    per (method, eta) on it."""
+    k = getattr(args, "k", 0)
+    problem = harness.build_problem(
+        (problem_kind, args.m, args.n, k, args.rank, args.seed))
+    mode = _build_mode(args, problem.lipschitz)
+    specs = [harness.RunSpec(
+        problem=problem_kind, m=args.m, n=args.n, k=k, r=args.rank,
+        seed=args.seed, eta=eta, method=method, optimizer=args.optimizer,
+        refactor_mode=mode, warmup_steps=args.warmup, iterations=args.steps,
+        log_every=args.log_every, sigma_a=args.sigma_a, sigma_b=args.sigma_b,
+        weight_decay=args.weight_decay, alpha=args.alpha)
+        for method in methods for eta in etas]
+    return problem, specs
+
+
+def _write_csv(args, command: str, columns: Sequence[str], rows) -> None:
+    with _open_out(args.out) as out:
+        harness.write_csv(out, columns, rows, _header_lines(args, command))
 
 
 def _cmd_run(args, command: str) -> int:
@@ -304,24 +313,14 @@ def _cmd_run(args, command: str) -> int:
     if args.eta <= 0:
         raise UsageError("--eta: optimizers need a positive learning rate "
                          "(bound-scan supports negative grids)")
-    problem = _build_problem(problem_kind, args)
-    mode = _build_mode(args, problem.lipschitz)
-    spec = harness.RunSpec(
-        problem=problem_kind, m=args.m, n=args.n,
-        k=getattr(args, "k", 0), r=args.rank, seed=args.seed, eta=args.eta,
-        method=args.method, optimizer=args.optimizer, refactor_mode=mode,
-        warmup_steps=args.warmup, iterations=args.steps,
-        log_every=args.log_every, sigma_a=args.sigma_a, sigma_b=args.sigma_b,
-        weight_decay=args.weight_decay, alpha=args.alpha)
-    result = harness.run(spec, problem)
-    with _open_out(args.out) as out:
-        harness.write_trace_csv(out, result.records,
-                                _header_lines(args, command))
+    problem, (spec,) = _run_specs(args, problem_kind, [args.method], [args.eta])
+    records = harness.run(spec, problem).records
+    _write_csv(args, command, harness.TRACE_COLUMNS,
+               harness.cells(records, harness.TRACE_COLUMNS))
     return 0
 
 
 def _cmd_bound_scan(args) -> int:
-    _check_format(args)
     _check_dims(args, "linreg")
     if args.points < 2:
         raise UsageError("--points: need at least two grid points")
@@ -333,9 +332,9 @@ def _cmd_bound_scan(args) -> int:
         m=args.m, n=args.n, k=args.k, r=args.rank, seed=args.seed,
         eta_min=args.eta_min, eta_max=args.eta_max, points=args.points,
         sigma_a=args.sigma_a, sigma_b=args.sigma_b, root=args.root)
-    rows = harness.bound_scan(spec)
-    with _open_out(args.out) as out:
-        harness.write_bound_scan_csv(out, rows, _header_lines(args, "bound-scan"))
+    columns = ("eta", "mode", "true_loss", "upper_bound")
+    _write_csv(args, "bound-scan", columns,
+               harness.cells(harness.bound_scan(spec), columns))
     return 0
 
 
@@ -349,36 +348,22 @@ def _cmd_compare(args) -> int:
     _check_run_flags(args, methods, "methods", args.problem)
     if any(eta <= 0 for eta in etas):
         raise UsageError("--etas: learning rates must be positive")
-    problem = _build_problem(args.problem, args)
-    mode = _build_mode(args, problem.lipschitz)
-    specs = []
-    for method in methods:
-        for eta in etas:
-            specs.append(harness.RunSpec(
-                problem=args.problem, m=args.m, n=args.n, k=args.k,
-                r=args.rank, seed=args.seed, eta=eta, method=method,
-                optimizer=args.optimizer, refactor_mode=mode,
-                warmup_steps=args.warmup, iterations=args.steps,
-                log_every=args.log_every, sigma_a=args.sigma_a,
-                sigma_b=args.sigma_b, weight_decay=args.weight_decay,
-                alpha=args.alpha, label=f"{method}-eta{eta:g}"))
+    problem, specs = _run_specs(args, args.problem, methods, etas)
     table = harness.compare(specs, problem=problem)
-    with _open_out(args.out) as out:
-        harness.write_compare_csv(out, table, _header_lines(args, "compare"))
+    _write_csv(args, "compare", table.columns, table.rows)
     return 0
 
 
 def _cmd_overhead(args) -> int:
-    _check_format(args)
     dims = _int_list(args.dims)
     ranks = _int_list(args.ranks)
     if not dims or not ranks:
         raise UsageError("--dims/--ranks: need at least one of each")
     if args.repeats < 10:
         raise UsageError("--repeats: need at least 10 for a stable median")
+    columns = [f.name for f in dataclasses.fields(harness.OverheadRow)]
     rows = harness.overhead_probe(dims, ranks, args.repeats, args.seed)
-    with _open_out(args.out) as out:
-        harness.write_overhead_csv(out, rows, _header_lines(args, "overhead"))
+    _write_csv(args, "overhead", columns, harness.cells(rows, columns))
     return 0
 
 

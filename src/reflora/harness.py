@@ -8,8 +8,8 @@ keeps logging so the curve can be plotted.
 """
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -21,10 +21,6 @@ from .problems import Problem
 from .refactor import LowRankFactors, RefactorMode
 
 DIVERGENCE_FACTOR = 1e6
-
-TRACE_HEADER = ("step,loss,norm_a,norm_b,grad_norm_a,grad_norm_b,"
-                "balance_gap,step_time_ns")
-BOUND_SCAN_HEADER = "eta,mode,true_loss,upper_bound"
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,6 @@ class RunSpec:
     sigma_b: float = 0.0
     weight_decay: float = 0.0
     alpha: Optional[float] = None  # adapter scale: W = W_pt + (alpha/r) A B^T
-    label: str = ""
-    out: Optional[str] = None     # optional trace sink
 
     def __post_init__(self):
         if self.problem not in ("mf", "linreg"):
@@ -59,9 +53,16 @@ class RunSpec:
         if self.problem == "linreg" and self.k < 1:
             raise ValueError("linreg needs k >= 1")
 
+    @property
+    def instance(self) -> tuple:
+        """The problem instance's key: (problem, m, n, k, r, seed)."""
+        return (self.problem, self.m, self.n, self.k, self.r, self.seed)
+
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One trace row; its fields, in order, are the trace CSV columns."""
+
     step: int
     loss: float
     norm_a: float
@@ -70,6 +71,9 @@ class TraceRecord:
     grad_norm_b: float
     balance_gap: float
     step_time_ns: int
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass
@@ -89,36 +93,24 @@ class RunResult:
         return self.records[-1].loss
 
 
-def build_problem(spec: RunSpec) -> Problem:
-    if spec.problem == "mf":
-        problem, _ = problems.make_mf(spec.m, spec.n, spec.r, spec.seed)
+def build_problem(instance: tuple) -> Problem:
+    """The problem instance with key (problem, m, n, k, r, seed)."""
+    kind, m, n, k, r, seed = instance
+    if kind == "mf":
+        problem, _ = problems.make_mf(m, n, r, seed)
     else:
-        problem, _ = problems.make_linreg(spec.m, spec.n, spec.k, spec.seed)
+        problem, _ = problems.make_linreg(m, n, k, seed)
     return problem
 
 
-def _raw_gap(a: Array, b: Array) -> float:
-    ga = refactor.gram(a)
-    gb = refactor.gram(b)
+def balance_gap(f: LowRankFactors) -> float:
+    """Relative Gram mismatch ||A^T A - B^T B||_F / ||A^T A||_F of the pair."""
+    ga = refactor.gram(f.a)
+    gb = refactor.gram(f.b)
     denom = float(np.linalg.norm(ga))
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(ga - gb) / denom)
-
-
-def balance_gap(f: LowRankFactors, method: str) -> float:
-    """Relative Gram mismatch of the pair the method effectively trains.
-
-    For the full refactoring this is the gap of the implicitly balanced
-    pair (A P, B P^{-T}) with P P^T = S; baselines, and a pair the kernel
-    judges rank-deficient, report the raw factors' gap.
-    """
-    if method == optim.METHOD_REFLORA:
-        k = refactor.balance(f)
-        if k.full_rank:
-            # P^{-T} = S^{-1} P
-            return _raw_gap(f.a @ k.root, f.b @ (k.s_inv @ k.root))
-    return _raw_gap(f.a, f.b)
 
 
 def _all_finite(gp: GradientPair, loss: float) -> bool:
@@ -140,7 +132,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
     gradient for step t + 1 are taken at the same factors.
     """
     if problem is None:
-        problem = build_problem(spec)
+        problem = build_problem(spec.instance)
     scale = 1.0 if spec.alpha is None else spec.alpha / spec.r
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
@@ -165,7 +157,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             norm_b=float(np.linalg.norm(f.b)),
             grad_norm_a=float(np.linalg.norm(gp.g_a)),
             grad_norm_b=float(np.linalg.norm(gp.g_b)),
-            balance_gap=balance_gap(f, spec.method),
+            balance_gap=balance_gap(f),
             step_time_ns=last_step_ns,
         )
 
@@ -198,12 +190,8 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
                 diverged_step = t + 1
         records.append(snapshot(spec.iterations, loss, gp))
 
-    result = RunResult(spec=spec, records=records, diverged=diverged,
-                       diverged_step=diverged_step, final_factors=f)
-    if spec.out:
-        with open(spec.out, "w") as out:
-            write_trace_csv(out, records)
-    return result
+    return RunResult(spec=spec, records=records, diverged=diverged,
+                     diverged_step=diverged_step, final_factors=f)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +303,7 @@ class CompareTable:
 
 
 def _run_label(spec: RunSpec, index: int, seen: set) -> str:
-    label = spec.label or f"{spec.method}-eta{spec.eta:g}"
+    label = f"{spec.method}-eta{spec.eta:g}"
     if label in seen:
         label = f"{label}#{index}"
     seen.add(label)
@@ -333,23 +321,19 @@ def compare(specs: Sequence[RunSpec],
     """
     if not specs:
         raise ValueError("compare needs at least one spec")
-    key = (specs[0].problem, specs[0].m, specs[0].n, specs[0].k,
-           specs[0].r, specs[0].seed)
-    for s in specs[1:]:
-        if (s.problem, s.m, s.n, s.k, s.r, s.seed) != key:
-            raise ValueError("compare specs must share the problem instance "
-                             "(kind, dims, seed)")
+    key = specs[0].instance
+    if any(s.instance != key for s in specs[1:]):
+        raise ValueError("compare specs must share the problem instance "
+                         "(kind, dims, seed)")
     if problem is None:
-        problem = build_problem(specs[0])
+        problem = build_problem(key)
     results = [run(s, problem) for s in specs]
 
     seen: set = set()
     labels = [_run_label(s, i, seen) for i, s in enumerate(specs)]
-    fields = ("loss", "norm_a", "norm_b", "grad_norm_a", "grad_norm_b",
-              "balance_gap", "step_time_ns")
-    columns = ["step"]
-    for label in labels:
-        columns.extend(f"{label}.{f}" for f in fields)
+    member_columns = [c for c in TRACE_COLUMNS if c != "step"]
+    columns = ["step"] + [f"{label}.{c}" for label in labels
+                          for c in member_columns]
 
     by_step: list[dict[int, TraceRecord]] = [
         {rec.step: rec for rec in res.records} for res in results
@@ -361,9 +345,9 @@ def compare(specs: Sequence[RunSpec],
         for d in by_step:
             rec = d.get(step)
             if rec is None:
-                row.extend([""] * len(fields))
+                row.extend([""] * len(member_columns))
             else:
-                row.extend(getattr(rec, f) for f in fields)
+                row.extend(getattr(rec, c) for c in member_columns)
         rows.append(row)
     return CompareTable(columns=columns, rows=rows)
 
@@ -459,47 +443,16 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_trace_csv(out: TextIO, records: Sequence[TraceRecord],
-                    header_lines: Sequence[str] = ()) -> None:
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    out.write(TRACE_HEADER + "\n")
-    for rec in records:
-        out.write(",".join([
-            str(rec.step), _fmt(rec.loss), _fmt(rec.norm_a), _fmt(rec.norm_b),
-            _fmt(rec.grad_norm_a), _fmt(rec.grad_norm_b),
-            _fmt(rec.balance_gap), str(rec.step_time_ns),
-        ]) + "\n")
+def cells(records: Iterable, columns: Sequence[str]) -> Iterable[list]:
+    """Each record's `columns` values, read by attribute name."""
+    return ([getattr(rec, c) for c in columns] for rec in records)
 
 
-def write_bound_scan_csv(out: TextIO, rows: Sequence[BoundScanRow],
-                         header_lines: Sequence[str] = ()) -> None:
+def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence],
+              header_lines: Sequence[str] = ()) -> None:
+    """`# `-prefixed header lines, the column row, then one line per row."""
     for line in header_lines:
         out.write(f"# {line}\n")
-    out.write(BOUND_SCAN_HEADER + "\n")
+    out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join([
-            _fmt(row.eta), row.mode, _fmt(row.true_loss), _fmt(row.upper_bound),
-        ]) + "\n")
-
-
-def write_compare_csv(out: TextIO, table: CompareTable,
-                      header_lines: Sequence[str] = ()) -> None:
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    out.write(",".join(table.columns) + "\n")
-    for row in table.rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_overhead_csv(out: TextIO, rows: Sequence[OverheadRow],
-                       header_lines: Sequence[str] = ()) -> None:
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    out.write("m,n,r,method,median_step_ns,ratio_vs_lora,refactor_phase_ns\n")
-    for row in rows:
-        out.write(",".join([
-            str(row.m), str(row.n), str(row.r), row.method,
-            _fmt(row.median_step_ns), _fmt(row.ratio_vs_lora),
-            _fmt(row.refactor_phase_ns),
-        ]) + "\n")

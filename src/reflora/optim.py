@@ -12,8 +12,8 @@ refactor kernel (`refactor.balance`: two Cholesky passes per factor and
 one r x r SVD), so their per-step overhead is O((m + n + r) r^2); the
 scalar variant costs O((m + n) r). The kernel's result is cached on the
 immutable factor pair, so each iterate costs one kernel run, shared by
-the step and the harness's trace snapshot. All transitions are pure:
-state in, state out.
+the step and its warmup check; the harness's trace snapshot reads no
+kernel result. All transitions are pure: state in, state out.
 """
 
 import dataclasses

@@ -262,9 +262,9 @@ def balance(f: LowRankFactors) -> Balance:
     """The refactor kernel: S, S^{-1}, c_tilde and the rank verdict.
 
     The result is computed on the first call for a pair and cached on it
-    (a LowRankFactors is immutable), so the step, the rank guard and the
-    trace snapshot of one iterate share one kernel run. IllConditioned is
-    not cached: it is raised again on every call.
+    (a LowRankFactors is immutable), so the step and the rank guard of one
+    iterate share one kernel run. IllConditioned is not cached: it is
+    raised again on every call.
     """
     k = f._cached_balance
     if k is None:

@@ -351,3 +351,25 @@ class TestArgparseBehavior:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["mf", "--bogus", "1"]) == 2
+
+
+class TestOneSchema:
+    def test_one_member_compare_equals_mf(self, tmp_path):
+        # both commands write TraceRecord's columns through one formatter
+        dims = ["--steps", "12", "--log-every", "5", "--seed", "4",
+                "--m", "12", "--n", "10", "--rank", "2"]
+        mf, cmp = tmp_path / "mf.csv", tmp_path / "cmp.csv"
+        assert run_cli(["mf", "--method", "reflora", "--eta", "0.02", *dims,
+                        "--out", str(mf)]) == 0
+        assert run_cli(["compare", "--methods", "reflora", "--etas", "0.02",
+                        *dims, "--out", str(cmp)]) == 0
+
+        def untimed(path, prefix):
+            rows = [line.split(",") for line in read_body(path).splitlines()]
+            header = [c.removeprefix(prefix) for c in rows[0]]
+            keep = [i for i, c in enumerate(header) if c != "step_time_ns"]
+            return [[row[i] for i in keep] for row in [header] + rows[1:]]
+
+        expected = untimed(mf, "")
+        assert len(expected) == 5  # header, steps 0, 5, 10 and 12
+        assert untimed(cmp, "reflora-eta0.02.") == expected
