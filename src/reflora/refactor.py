@@ -199,7 +199,6 @@ class Balance:
     full_rank is the library's rank verdict; c_tilde = 2 * sum of the
     singular values of A @ B.T (nan for non-finite factors). Only for a
     full-rank pair: s solves S (A^T A) S = B^T B, s_inv is its inverse,
-    root is a P with P P^T = S, so (A P, B P^{-T}) is the balanced pair,
     and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}, each None when
     it leaves the normal float range (e.g. for (1e-160 A, 1e-160 B), where
     S is still representable). `balance` computes it once per pair and
@@ -211,12 +210,11 @@ class Balance:
     c_tilde: float
     s: Optional[Array] = None
     s_inv: Optional[Array] = None
-    root: Optional[Array] = None
     ga_inv: Optional[Array] = None
     gb_inv: Optional[Array] = None
 
     def __post_init__(self):
-        for x in (self.s, self.s_inv, self.root, self.ga_inv, self.gb_inv):
+        for x in (self.s, self.s_inv, self.ga_inv, self.gb_inv):
             if x is not None:
                 x.flags.writeable = False
 
@@ -324,7 +322,6 @@ def _balance(f: LowRankFactors) -> Balance:
         True, ct,
         s=np.ldexp(s, d),
         s_inv=np.ldexp(s_inv, -d),
-        root=half * 2.0 ** (d / 2),
         ga_inv=_scaled_or_none(ra_inv @ ra_inv.T, -2 * ea),
         gb_inv=_scaled_or_none(rb_inv @ rb_inv.T, -2 * eb))
 

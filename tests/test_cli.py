@@ -86,10 +86,18 @@ class TestRunFlags:
         (["compare", "--warmup", "-1"], "--warmup"),
         (["compare", "--methods", "lora,scaledgd", "--optimizer", "adam"],
          "--optimizer"),
+        (["mf", "--eta", "nan"], "--eta"),
+        (["mf", "--eta", "inf"], "--eta"),
+        (["compare", "--etas", "nan"], "--etas"),
+        (["mf", "--sigma-a", "nan"], "--sigma-a"),
+        (["mf", "--weight-decay", "nan", "--optimizer", "adamw"],
+         "--weight-decay"),
+        (["mf", "--seed", "-1"], "--seed"),
+        (["mf", "--alpha", "nan"], "--alpha"),
     ])
     def test_usage_error(self, capsys, argv, flag):
         assert run_cli(argv + ["--steps", "3", "--m", "8", "--n", "6"]) == 2
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"reflora: error: {flag}:")
 
 
 class TestModeFlags:
@@ -120,12 +128,16 @@ class TestDims:
         (["compare", "--m", "5", "--n", "6", "--rank", "6"], "--rank"),
         (["bound-scan", "--rank", "3"], "--rank"),
         (["bound-scan", "--k", "0"], "--k"),
+        (["bound-scan", "--seed", "-3"], "--seed"),
+        (["bound-scan", "--eta-min", "nan"], "--eta-min"),
+        (["overhead", "--dims", "4", "--ranks", "8"], "--ranks"),
+        (["overhead", "--dims", "16", "--ranks", "0"], "--ranks"),
     ])
     def test_usage_error(self, capsys, monkeypatch, argv, flag):
         for name in ("make_mf", "make_linreg"):
             monkeypatch.setattr(problems, name, _no_build)
         assert run_cli(argv) == 2
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"reflora: error: {flag}:")
 
     def test_k_ignored_for_mf(self):
         assert run_cli(["compare", "--k", "0", "--m", "8", "--n", "6",
@@ -134,6 +146,65 @@ class TestDims:
 
 def _no_build(*args, **kwargs):
     raise AssertionError("built an instance")
+
+
+def untimed(path):
+    """CSV rows minus every step_time_ns column."""
+    rows = [line.split(",") for line in read_body(path).splitlines()]
+    keep = [i for i, c in enumerate(rows[0]) if not c.endswith("step_time_ns")]
+    return [[row[i] for i in keep] for row in rows]
+
+
+class TestFlagTable:
+    """Each flag's own check lives in cli._FLAGS and runs before any
+    instance is built."""
+
+    LOWER_BOUNDS = {"m": 1, "n": 1, "k": 1, "rank": 1, "warmup": 0,
+                    "steps": 1, "log-every": 1, "points": 2, "repeats": 10,
+                    "trials": 1, "seed": 0}
+
+    def test_every_bound_and_finiteness_check(self, capsys, monkeypatch):
+        for name in ("make_mf", "make_linreg"):
+            monkeypatch.setattr(problems, name, _no_build)
+        cases = []
+        for command, flags in cli._FLAGS.items():
+            for flag, ftype, _, _, check in flags:
+                if ftype is int and check is not None:
+                    ok = check[0]
+                    low = next(v for v in range(-100, 100) if ok(v))
+                    assert low == self.LOWER_BOUNDS[flag], (command, flag)
+                    cases.append((command, flag, str(low - 1)))
+                elif ftype is float and flag != "lipschitz":
+                    cases.append((command, flag, "nan"))
+        assert len(cases) == 50
+        for command, flag, value in cases:
+            assert run_cli([command, f"--{flag}", value]) == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert err.startswith(f"reflora: error: --{flag}:"), err
+
+    SMALL = ["--steps", "3", "--m", "8", "--n", "6", "--rank", "2"]
+
+    @pytest.mark.parametrize("argv,same_as", [
+        (["mf", "--alpha", "-1"], None),
+        (["mf", "--method", "lora", "--alpha", "0"], None),
+        (["mf", "--sigma-a", "-1"], None),
+        (["mf", "--optimizer", "adamw", "--method", "lora",
+          "--weight-decay", "-0.1"], None),
+        (["mf", "--lipschitz", "-1"], ["mf"]),  # balanced mode ignores it
+        (["compare", "--etas", "0.01,,0.02"], ["compare", "--etas", "0.01,0.02"]),
+        (["compare", "--etas", "0.01,1e-3"], ["compare", "--etas", "0.01,0.001"]),
+    ])
+    def test_no_over_rejection(self, tmp_path, argv, same_as):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + self.SMALL + ["--out", str(out)]) == 0
+        if "--etas" in argv:  # a list flag keeps the text it was given
+            command = next(line for line in read_header(out)
+                           if line.startswith("# command: "))
+            assert f" --etas {argv[argv.index('--etas') + 1]} " in command
+        if same_as is not None:
+            ref = tmp_path / "ref.csv"
+            assert run_cli(same_as + self.SMALL + ["--out", str(ref)]) == 0
+            assert untimed(out) == untimed(ref)
 
 
 class TestConfigFile:
@@ -163,10 +234,12 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("steps = 12\nseed = 3\nm = 10\nn = 8\nrank = 2\n")
         out = tmp_path / "t.csv"
-        assert run_cli(["mf", "--config", str(config), "--steps", "4",
-                        "--out", str(out)]) == 0
-        body = read_body(out).splitlines()
-        assert body[-1].startswith("4,")
+        # every spelling argparse accepts wins, abbreviations included
+        for given in (["--steps", "4"], ["--ste", "4"], ["--steps=4"]):
+            assert run_cli(["mf", "--config", str(config), *given,
+                            "--out", str(out)]) == 0
+            body = read_body(out).splitlines()
+            assert body[-1].startswith("4,")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
