@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
                      RefloraError, ZeroFactor)
 from .refactor import (Balance, LowRankFactors, RefactorMode, RefactorResult,
-                       balance, balanced_mode, c_tilde, g_objective, geometric_mean_s,
-                       identity_mode, optimal_s, optimal_scalar,
-                       theorem_exact_mode, upper_bound_eval)
+                       balance, c_tilde, g_objective, geometric_mean_s,
+                       optimal_s, optimal_scalar, upper_bound_eval)
 from .optim import (GradientPair, OptimizerState, StepConfig, adam_update,
                     delta_w, horizontal_check, reflora_step)
 from .problems import (LinRegInstance, MfInstance, Problem, init_factors,
@@ -28,7 +27,6 @@ __all__ = [
     "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
     "ZeroFactor", "InvalidEta",
     "LowRankFactors", "RefactorMode", "RefactorResult", "Balance", "balance",
-    "balanced_mode", "theorem_exact_mode", "identity_mode",
     "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",
     "upper_bound_eval", "c_tilde",
     "GradientPair", "OptimizerState", "StepConfig",

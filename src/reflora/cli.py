@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -159,6 +160,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     commands = {}
     for name, flags in _FLAGS.items():
         sub = commands[name] = subs.add_parser(name)
+        # argparse < 3.13 takes the -1e-3 of `--eta-min -1e-3` for an option
+        sub._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
         sub.add_argument("--config", type=str, default=None,
                          help="flat key = value config file; flags override")
         for flag, ftype, default, help_text, check in flags:
@@ -167,10 +170,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-def _load_config(path: str, command: str) -> dict[str, str]:
-    """The file's values by dest; each key must be one of the command's flags."""
-    flags = {flag for flag, *_ in _FLAGS[command]}
-    values: dict[str, str] = {}
+def _load_config(path: str, command: str) -> dict[str, object]:
+    """The file's values by dest, typed as the command's flags they name."""
+    types = {flag: ftype for flag, ftype, *_ in _FLAGS[command]}
+    values: dict[str, object] = {}
     try:
         with open(path) as handle:
             for lineno, raw in enumerate(handle, 1):
@@ -181,10 +184,14 @@ def _load_config(path: str, command: str) -> dict[str, str]:
                     raise UsageError(
                         f"--config: {path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in flags:
+                if key not in types:
                     raise UsageError(
                         f"--config: unknown key {key!r} for {command}")
-                values[key.replace("-", "_")] = value
+                try:
+                    values[key.replace("-", "_")] = types[key](value)
+                except ValueError as exc:
+                    raise UsageError(f"--config: {path}:{lineno}: {key}: "
+                                     f"{exc}") from None
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}") from exc
     return values
@@ -205,10 +212,6 @@ def _check_flags(args: argparse.Namespace) -> None:
         methods = getattr(args, "methods", [getattr(args, "method", None)])
         if optim.METHOD_SCALEDGD in methods and args.optimizer != optim.GD:
             raise UsageError("--optimizer: scaledgd is a plain-GD baseline")
-        if optim.METHOD_REFLORA_S in methods and \
-                args.mode == refactor.IDENTITY:
-            raise UsageError("--mode: identity makes reflora-s a no-op; "
-                             "use --method lora instead")
         if args.mode == refactor.THEOREM_EXACT and \
                 args.lipschitz is not None and not 0 < args.lipschitz < math.inf:
             raise UsageError("--lipschitz: theorem-exact mode needs a finite "
@@ -367,8 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the command's defaults: argparse types
-            # them, and a flag given in any spelling it accepts wins
+            # config values become the command's defaults, so a flag
+            # given in any spelling argparse accepts wins
             commands[args.command].set_defaults(
                 **_load_config(args.config, args.command))
             args = parser.parse_args(argv)

@@ -8,7 +8,7 @@ keeps logging so the curve can be plotted.
 """
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -35,7 +35,7 @@ class RunSpec:
     eta: float
     method: str = optim.METHOD_LORA_GD
     optimizer: str = optim.GD
-    refactor_mode: RefactorMode = field(default_factory=refactor.balanced_mode)
+    refactor_mode: RefactorMode = RefactorMode()
     warmup_steps: int = 1
     iterations: int = 2000
     log_every: int = 1
@@ -43,7 +43,7 @@ class RunSpec:
     sigma_a: float = 1.0
     sigma_b: float = 0.0
     weight_decay: float = 0.0
-    alpha: Optional[float] = None  # adapter scale: W = W_pt + (alpha/r) A B^T
+    alpha: Optional[float] = None  # adapter scale: W = (alpha/r) A B^T
 
     def __post_init__(self):
         if self.problem not in ("mf", "linreg"):
@@ -276,13 +276,13 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
             if mode_name == "identity":
                 s = s_inv = np.eye(spec.r)
             else:
-                mode = refactor.theorem_exact_mode(lip, spec.root)
+                mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
                 res = refactor.optimal_s(f, float(eta), mode)
                 s, s_inv = res.s_matrix, res.s_inverse
             # preconditioned step, then the exact loss at the new factors
             a_new = f.a - eta * (g @ f.b) @ s_inv
             b_new = f.b - eta * (g.T @ f.a) @ s
-            true_loss = problem.loss(problem.w_pretrained + a_new @ b_new.T)
+            true_loss = problem.loss(a_new @ b_new.T)
             bound = refactor.upper_bound_eval(f, s, float(eta), lip, g_spec,
                                               const)
             m_term = f.a @ s @ (f.a.T @ g) + g @ f.b @ s_inv @ f.b.T
@@ -413,7 +413,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
                 optim.METHOD_LORA_GD: None,
                 optim.METHOD_REFLORA: refactor.geometric_mean_s,
                 optim.METHOD_REFLORA_S: lambda p: refactor.optimal_scalar(
-                    p, eta, refactor.balanced_mode()),
+                    p, eta, RefactorMode()),
                 optim.METHOD_SCALEDGD: refactor.balance,
             }
             medians = {name: _median_time_ns(fn, f, repeats)

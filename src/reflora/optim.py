@@ -61,8 +61,7 @@ class StepConfig:
     eta: float
     method: str = METHOD_REFLORA
     optimizer: str = GD
-    refactor_mode: RefactorMode = dataclasses.field(
-        default_factory=refactor.balanced_mode)
+    refactor_mode: RefactorMode = RefactorMode()
     warmup_steps: int = 1
 
     def __post_init__(self):
@@ -169,7 +168,7 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     refactoring back; `scaledgd` by ((B^T B)^{-1}, (A^T A)^{-1}), raising
     IllConditioned when one leaves the normal float range; `reflora-s`
     rescales the pair to (sqrt(s) A, B / sqrt(s)) with s from
-    `refactor.optimal_scalar` (ValueError in identity mode) and keeps it,
+    `refactor.optimal_scalar` and keeps it,
     with no second refactoring. The update rule is then GD, or Adam/AdamW
     (`adam_update`) on the original axes, except that under `reflora-s`
     the A-moments are rescaled by 1/sqrt(s) and 1/s and the B-moments by
@@ -178,7 +177,7 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     A pair the method cannot precondition (RankDeficient; ZeroFactor for
     `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
     iterations, leaving the optimizer state unchanged; past warmup it is an
-    error. `lora`, and `reflora` in identity mode, never need full rank.
+    error. `lora` never needs full rank.
     """
     grad_w_times.check_shapes(f)
     g_a, g_b = grad_w_times.g_a, grad_w_times.g_b

@@ -20,9 +20,8 @@ dense Y exists only on demand, through the `y` properties, for the dense
 reference path and the tests.
 """
 
-import io
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,19 +71,16 @@ class LinRegInstance:
 class Problem:
     """A differentiable loss over an m x n weight matrix.
 
-    The trainable increment enters as W = w_pretrained + scale * A @ B.T,
-    where `scale` is an optional adapter multiplier (alpha / r in adapter
-    conventions; 1.0 here and in all desk-scale experiments). A problem
-    without a pretrained weight holds None, not m x n zeros.
+    W = scale * A @ B.T is the adapter increment alone (no pretrained
+    weight); `scale` is an optional multiplier, alpha / r in adapter
+    conventions and 1.0 in all desk-scale experiments.
     """
 
     def __init__(self, name: str, m: int, n: int,
-                 w_pretrained: Optional[Array],
                  lipschitz: Optional[float] = None):
         self.name = name
         self.m = m
         self.n = n
-        self.w_pretrained = w_pretrained
         self.lipschitz = lipschitz
 
     def loss(self, w: Array) -> float:
@@ -95,14 +91,13 @@ class Problem:
 
     def full_weight(self, f: LowRankFactors, scale: float = 1.0) -> Array:
         """The dense m x n weight W, for the dense reference path."""
-        w = scale * f.product()
-        return w if self.w_pretrained is None else self.w_pretrained + w
+        return scale * f.product()
 
     def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
                        ) -> tuple[float, GradientPair]:
-        """Loss at W = w_pretrained + scale * A @ B.T and the chain-rule
-        factor gradients g_a = scale * grad(W) @ B and
-        g_b = scale * grad(W).T @ A, all at the same factors.
+        """Loss at W = scale * A @ B.T and the chain-rule factor gradients
+        g_a = scale * grad(W) @ B and g_b = scale * grad(W).T @ A, all at
+        the same factors.
         """
         raise NotImplementedError
 
@@ -119,7 +114,7 @@ class MatrixFactorizationProblem(Problem):
     The target is held as Y = U diag(sigma) V^T with orthonormal U and V.
     Given `factors` (what `make_mf` passes), the dense Y is formed only
     when `y` is first read; a dense `y` given instead is kept and factored
-    here by one thin SVD. There is no pretrained weight.
+    here by one thin SVD.
     """
 
     def __init__(self, y: Optional[Array] = None,
@@ -128,7 +123,7 @@ class MatrixFactorizationProblem(Problem):
             u, sigma, vt = np.linalg.svd(y, full_matrices=False)
             factors = (u, sigma, vt.T)
         self.u, self.sigma, self.v = (np.ascontiguousarray(x) for x in factors)
-        super().__init__("mf", self.u.shape[0], self.v.shape[0], None,
+        super().__init__("mf", self.u.shape[0], self.v.shape[0],
                          lipschitz=1.0)
         self._y = y
 
@@ -182,19 +177,15 @@ class MatrixFactorizationProblem(Problem):
 class LinearRegressionProblem(Problem):
     """loss(W) = 0.5 * ||Y - W X||_F^2 with exact Lipschitz ||X X^T||_2."""
 
-    def __init__(self, x: Array, y: Array, w_pretrained: Optional[Array] = None):
+    def __init__(self, x: Array, y: Array):
         n, k = x.shape
         m = y.shape[0]
         if y.shape[1] != k:
             raise ValueError("X and Y sample counts differ")
-        if w_pretrained is None:
-            w_pretrained = np.zeros((m, n))
         xxt = x @ x.T
-        super().__init__("linreg", m, n, w_pretrained,
-                         lipschitz=linalg.spectral_norm(xxt))
+        super().__init__("linreg", m, n, lipschitz=linalg.spectral_norm(xxt))
         self.x = x
         self.y = y
-        self._offset = w_pretrained @ x - y  # W_pt X - Y, m x k
 
     def loss(self, w: Array) -> float:
         d = self.y - w @ self.x
@@ -205,11 +196,10 @@ class LinearRegressionProblem(Problem):
 
     def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
                        ) -> tuple[float, GradientPair]:
-        """Through the m x k residual E = (W_pt X - Y) + scale * A (B^T X):
-        the loss is 0.5 ||E||^2, g_a = scale * E (X^T B) and
-        g_b = scale * X (E^T A)."""
+        """Through the m x k residual E = scale * A (B^T X) - Y: the loss
+        is 0.5 ||E||^2, g_a = scale * E (X^T B) and g_b = scale * X (E^T A)."""
         x = self.x
-        e = self._offset + scale * (f.a @ (f.b.T @ x))
+        e = scale * (f.a @ (f.b.T @ x)) - self.y
         loss = 0.5 * float(np.sum(e * e))
         return loss, GradientPair(scale * (e @ (x.T @ f.b)),
                                   scale * (x @ (e.T @ f.a)))
@@ -314,59 +304,3 @@ def init_factors(m: int, n: int, r: int, seed: int, sigma_a: float = 1.0,
     a = sigma_a * gen.standard_normal((m, r))
     b = np.zeros((n, r)) if sigma_b == 0.0 else sigma_b * gen.standard_normal((n, r))
     return LowRankFactors(a, b)
-
-
-# Text serialization for oracle cross-checking: one header line
-# "rows cols" followed by one whitespace-separated row of 17-significant-
-# digit decimal values per matrix row.
-
-def write_matrix_text(out: TextIO, m: Array) -> None:
-    rows, cols = m.shape
-    out.write(f"{rows} {cols}\n")
-    for row in m:
-        out.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_matrix_text(inp: TextIO) -> Array:
-    header = inp.readline().split()
-    rows, cols = int(header[0]), int(header[1])
-    data = [[float(v) for v in inp.readline().split()] for _ in range(rows)]
-    m = np.array(data, dtype=float)
-    if m.shape != (rows, cols):
-        raise ValueError(f"expected {rows}x{cols} matrix, parsed {m.shape}")
-    return m
-
-
-def save_instance(path: Union[str, "io.PathLike"],
-                  inst: Union[MfInstance, LinRegInstance]) -> None:
-    """Write an instance's matrices in the text format, one after another.
-
-    An MF instance is written as its factors U_r, sigma (one row) and V_r,
-    so the file is O((m + n) r) and reloads to the same bits of Y.
-    """
-    with open(path, "w") as out:
-        if isinstance(inst, MfInstance):
-            out.write(f"mf {inst.m} {inst.n} {inst.r} {inst.seed}\n")
-            for x in (inst.u, inst.sigma[None, :], inst.v):
-                write_matrix_text(out, x)
-        else:
-            out.write(f"linreg {inst.m} {inst.n} {inst.k} {inst.seed}\n")
-            write_matrix_text(out, inst.x)
-            write_matrix_text(out, inst.y)
-
-
-def load_instance(path: Union[str, "io.PathLike"]
-                  ) -> Union[MfInstance, LinRegInstance]:
-    with open(path) as inp:
-        head = inp.readline().split()
-        if head[0] == "mf":
-            m, n, r, seed = (int(v) for v in head[1:5])
-            u, sigma, v = (read_matrix_text(inp) for _ in range(3))
-            return MfInstance(u=u, sigma=sigma[0], v=v, m=m, n=n, r=r,
-                              seed=seed)
-        if head[0] == "linreg":
-            m, n, k, seed = (int(v) for v in head[1:5])
-            return LinRegInstance(x=read_matrix_text(inp),
-                                  y=read_matrix_text(inp),
-                                  m=m, n=n, k=k, seed=seed)
-        raise ValueError(f"unknown instance kind {head[0]!r}")

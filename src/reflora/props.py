@@ -190,7 +190,7 @@ def check_scalar_critical_point(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(trials):
         f = random_factors(gen)
-        res = refactor.optimal_scalar(f, 0.1, refactor.balanced_mode())
+        res = refactor.optimal_scalar(f, 0.1, refactor.RefactorMode())
         a2 = float(np.sum(f.a * f.a))
         b2 = float(np.sum(f.b * f.b))
         worst = max(worst, rel(abs(a2 * res.s_scalar ** 2 - b2), b2))

@@ -109,8 +109,7 @@ def _read_only(x: Array) -> Array:
 
 BALANCED = "balanced"
 THEOREM_EXACT = "theorem-exact"
-IDENTITY = "identity"
-MODES = (BALANCED, THEOREM_EXACT, IDENTITY)
+MODES = (BALANCED, THEOREM_EXACT)
 
 ROOT_PLUS = "plus"
 ROOT_MINUS = "minus"
@@ -123,8 +122,8 @@ class RefactorMode:
 
     kind 'balanced' takes the balanced S for every learning rate;
     'theorem-exact' additionally applies the small-eta scaling branch,
-    which needs the gradient-Lipschitz constant and a root choice;
-    'identity' fixes S = I and reproduces the unrefactored update.
+    which needs the gradient-Lipschitz constant and a root choice. The
+    unrefactored update, S = I, is the method `lora`, not a mode.
     """
 
     kind: str = BALANCED
@@ -142,25 +141,9 @@ class RefactorMode:
                 raise ValueError("theorem-exact mode needs a finite positive lipschitz")
 
 
-def balanced_mode() -> RefactorMode:
-    return RefactorMode(BALANCED)
-
-
-def theorem_exact_mode(lipschitz: float, root: str = ROOT_PLUS) -> RefactorMode:
-    return RefactorMode(THEOREM_EXACT, lipschitz=lipschitz, root=root)
-
-
-def identity_mode() -> RefactorMode:
-    return RefactorMode(IDENTITY)
-
-
-# Branch labels recorded in results. BRANCH_IDENTITY extends the natural
-# set {balanced, small-eta-plus, small-eta-minus} so identity-mode results
-# do not masquerade as balanced ones.
 BRANCH_BALANCED = "balanced"
 BRANCH_SMALL_ETA_PLUS = "small-eta-plus"
 BRANCH_SMALL_ETA_MINUS = "small-eta-minus"
-BRANCH_IDENTITY = "identity"
 
 
 @dataclass(frozen=True)
@@ -413,16 +396,10 @@ def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResu
     """S minimizing the loss upper bound, per the configured mode.
 
     The balanced S from the kernel, scaled by `_bound_scaling`'s gamma
-    (and S^{-1} by 1/gamma); identity mode returns S = I.
+    (and S^{-1} by 1/gamma).
     """
-    k = balance(f)
-    if mode.kind == IDENTITY:
-        eye = np.eye(f.r)
-        g = float(np.sum(f.a * f.a) + np.sum(f.b * f.b))
-        return RefactorResult(BRANCH_IDENTITY, k.c_tilde, g, s_matrix=eye,
-                              s_inverse=eye)
-
-    ct = k.require_full_rank().c_tilde
+    k = balance(f).require_full_rank()
+    ct = k.c_tilde
     gamma, branch = _bound_scaling(ct, eta, mode)
     if branch == BRANCH_BALANCED:
         return RefactorResult(branch, ct, ct, s_matrix=k.s, s_inverse=k.s_inv)
@@ -436,11 +413,8 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Refacto
     The balanced value ||B||_F / ||A||_F equalizes the factor norms, and
     c_tilde becomes 2 ||A||_F ||B||_F; `_bound_scaling`'s gamma then scales
     it exactly as it scales the matrix S, so on the small-eta branches
-    s solves ||A||_F^2 s + ||B||_F^2 / s = 1/(L eta). Identity mode has no
-    scalar form and raises ValueError.
+    s solves ||A||_F^2 s + ||B||_F^2 / s = 1/(L eta).
     """
-    if mode.kind == IDENTITY:
-        raise ValueError(f"refactor mode {mode.kind!r} has no scalar form")
     a2 = float(np.sum(f.a * f.a))
     b2 = float(np.sum(f.b * f.b))
     if a2 == 0.0 or b2 == 0.0:

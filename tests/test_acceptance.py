@@ -14,7 +14,7 @@ import pytest
 from reflora import harness, linalg, optim, problems, refactor
 from reflora.harness import BoundScanSpec, RunSpec
 from reflora.optim import GradientPair, OptimizerState, StepConfig
-from reflora.refactor import LowRankFactors
+from reflora.refactor import LowRankFactors, RefactorMode, THEOREM_EXACT
 
 
 def gen(seed):
@@ -117,10 +117,10 @@ def test_criterion_04_small_eta_branch():
         eta = float(g.uniform(0.001, 0.999)) / (ct * lip)
         target = 1.0 / (lip * eta)
         for root in ("plus", "minus"):
-            res = refactor.optimal_s(f, eta, refactor.theorem_exact_mode(lip, root))
+            res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip, root))
             worst = max(worst, abs(g_oracle(f, res.s_matrix) - target) / target)
         eta_c = 1.0 / (ct * lip)
-        res_b = refactor.optimal_s(f, eta_c, refactor.theorem_exact_mode(lip))
+        res_b = refactor.optimal_s(f, eta_c, RefactorMode(THEOREM_EXACT, lip))
         s_tilde = refactor.geometric_mean_s(f)
         worst_boundary = max(worst_boundary,
                              np.linalg.norm(res_b.s_matrix - s_tilde)
@@ -146,10 +146,10 @@ def test_criterion_05_scalar_branches():
         eta_c = 1.0 / (2.0 * np.sqrt(a2 * b2) * lip)
         eta = float(g.uniform(0.001, 0.999)) * eta_c
         for root in ("plus", "minus"):
-            mode = refactor.theorem_exact_mode(lip, root)
+            mode = RefactorMode(THEOREM_EXACT, lip, root)
             s = refactor.optimal_scalar(f, eta, mode).s_scalar
             worst_h = max(worst_h, (a2 * s + b2 / s - 1.0 / (lip * eta)) ** 2)
-        s_bal = refactor.optimal_scalar(f, 2.0 * eta_c, refactor.balanced_mode())
+        s_bal = refactor.optimal_scalar(f, 2.0 * eta_c, RefactorMode())
         ratio = np.sqrt(b2) / np.sqrt(a2)
         worst_ratio = max(worst_ratio, abs(s_bal.s_scalar - ratio) / ratio)
     report(5, "scalar optimum: zero residual small-eta, norm ratio large-eta",
@@ -245,7 +245,7 @@ def test_criterion_08_dual_path_equivalences():
                                m_b=g.standard_normal((n, r)),
                                v_b=g.random((n, r)), step=4)
         got, _ = optim.reflora_step(f, gp, cfg_s, state)
-        s = refactor.optimal_scalar(f, cfg_s.eta, refactor.balanced_mode()).s_scalar
+        s = refactor.optimal_scalar(f, cfg_s.eta, RefactorMode()).s_scalar
         rs = np.sqrt(s)
         want_a, _, _ = optim.adam_update(rs * f.a, gp.g_a / rs,
                                          state.m_a / rs, state.v_a / s, 5,
@@ -324,7 +324,7 @@ def test_criterion_11_bound_scan_reproduction():
             s = np.eye(1)
         else:
             s = refactor.optimal_s(
-                f, row.eta, refactor.theorem_exact_mode(lip)).s_matrix
+                f, row.eta, RefactorMode(THEOREM_EXACT, lip)).s_matrix
         m_term = f.a @ s @ (f.a.T @ grad) + grad @ f.b @ np.linalg.inv(s) @ f.b.T
         remainder = -lip * row.eta ** 3 * float(np.sum(m_term * r_term))
         assert remainder == pytest.approx(row.remainder, rel=1e-9, abs=1e-12)

@@ -109,6 +109,7 @@ class TestModeFlags:
         (["mf", "--root", "sideways"], "--root"),
         (["mf", "--mode", "theorem-exact", "--lipschitz", "-1"], "--lipschitz"),
         (["bound-scan", "--root", "sideways"], "--root"),
+        (["mf", "--mode", "identity"], "--mode"),  # S = I is --method lora
     ])
     def test_usage_error(self, capsys, argv, flag):
         assert run_cli(argv + ["--m", "6", "--n", "5", "--rank", "2"]) == 2
@@ -132,6 +133,7 @@ class TestDims:
         (["bound-scan", "--eta-min", "nan"], "--eta-min"),
         (["overhead", "--dims", "4", "--ranks", "8"], "--ranks"),
         (["overhead", "--dims", "16", "--ranks", "0"], "--ranks"),
+        (["mf", "--alpha", "-inf"], "--alpha"),
     ])
     def test_usage_error(self, capsys, monkeypatch, argv, flag):
         for name in ("make_mf", "make_linreg"):
@@ -207,6 +209,25 @@ class TestFlagTable:
             assert untimed(out) == untimed(ref)
 
 
+class TestNegativeFloats:
+    """A float flag's value may be a negative number in any float syntax,
+    given separated from the flag or joined to it by '='."""
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("eta-min", ["bound-scan", "--points", "11"]),
+        ("alpha", ["mf"] + TestFlagTable.SMALL),
+        ("sigma-a", ["mf"] + TestFlagTable.SMALL),
+        ("sigma-b", ["linreg", "--steps", "3"]),
+        ("weight-decay", ["mf", "--optimizer", "adamw"] + TestFlagTable.SMALL),
+    ])
+    def test_separated_equals_joined(self, tmp_path, flag, argv):
+        joined, separated = tmp_path / "joined.csv", tmp_path / "separated.csv"
+        assert run_cli(argv + [f"--{flag}=-1e-3", "--out", str(joined)]) == 0
+        assert run_cli(argv + [f"--{flag}", "-1e-3",
+                               "--out", str(separated)]) == 0
+        assert untimed(separated) == untimed(joined)
+
+
 class TestConfigFile:
     def test_flags_equal_config(self, tmp_path):
         out_flags = tmp_path / "flags.csv"
@@ -246,6 +267,17 @@ class TestConfigFile:
         config.write_text("stepz = 10\n")
         assert run_cli(["mf", "--config", str(config)]) == 2
         assert "stepz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [("mf", "steps", "abc"),
+                                                   ("mf", "eta", "fast"),
+                                                   ("compare", "etas", "0.01,x")])
+    def test_config_type_error_names_file_and_key(self, tmp_path, capsys,
+                                                  command, key, value):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"seed = 1\n{key} = {value}\n")
+        assert run_cli([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"reflora: error: --config: {config}:2: {key}:"), err
 
     def test_header_command_reproduces_body(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -222,8 +222,7 @@ CLI_PAIRS = ([(m, optim.GD) for m in optim.METHODS]
 
 class TestNoDenseWork:
     """The run loop and compare, instance build included, never form W,
-    A @ B.T, the dense gradient or the dense MF target, and never read a
-    pretrained weight."""
+    A @ B.T, the dense gradient or the dense MF target."""
 
     SPECS = {
         "mf": dict(problem="mf", m=24, n=20, r=3, eta=0.01),
@@ -241,18 +240,12 @@ class TestNoDenseWork:
             monkeypatch.setattr(cls, "grad", _forbidden)
         for cls in (problems.MfInstance, problems.MatrixFactorizationProblem):
             monkeypatch.setattr(cls, "y", property(_forbidden))
-        # writing the attribute is allowed (the constructors set it),
-        # reading it is not
-        monkeypatch.setattr(problems.Problem, "w_pretrained",
-                            property(_forbidden, lambda self, value: None),
-                            raising=False)
 
     def test_guard_bites(self):
         problem, inst = problems.make_mf(6, 5, 2, seed=0)
         f = problems.init_factors(6, 5, 2, seed=0)
         for read in (lambda: problem.loss(f.a @ f.b.T), f.product,
-                     lambda: problem.y, lambda: inst.y,
-                     lambda: problem.w_pretrained):
+                     lambda: problem.y, lambda: inst.y):
             with pytest.raises(DenseWork):
                 read()
 

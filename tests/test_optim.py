@@ -4,7 +4,7 @@ import pytest
 from reflora import linalg, optim, refactor
 from reflora.errors import RankDeficient, ZeroFactor
 from reflora.optim import GradientPair, OptimizerState, StepConfig
-from reflora.refactor import LowRankFactors
+from reflora.refactor import LowRankFactors, RefactorMode
 
 from conftest import gen, random_orthogonal, rel_err
 
@@ -214,7 +214,7 @@ class TestRefloraSStep:
         a *= 2.0 / np.linalg.norm(a)
         b *= 1.0 / np.linalg.norm(b)
         f = LowRankFactors(a, b)
-        s = refactor.optimal_scalar(f, 1.0, refactor.balanced_mode()).s_scalar
+        s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s_scalar
         assert s == pytest.approx(0.5, rel=1e-12)
         a_t = np.sqrt(s) * a
         b_t = b / np.sqrt(s)
@@ -235,7 +235,7 @@ class TestRefloraSStep:
 
             # reference: explicitly rescale factors, gradients, and moments,
             # then run the plain adaptive rule
-            s = refactor.optimal_scalar(f, 0.01, refactor.balanced_mode()).s_scalar
+            s = refactor.optimal_scalar(f, 0.01, RefactorMode()).s_scalar
             rs = np.sqrt(s)
             want_a, m_a, v_a = optim.adam_update(
                 rs * f.a, (grad @ f.b) / rs, state.m_a / rs, state.v_a / s,
@@ -254,14 +254,6 @@ class TestRefloraSStep:
         cfg = StepConfig(eta=0.1, method=optim.METHOD_REFLORA_S, warmup_steps=0)
         with pytest.raises(ZeroFactor):
             optim.reflora_step(f, gp, cfg, t=5)
-
-    def test_identity_mode_has_no_scalar_form(self, rng):
-        f = random_factors(rng, 5, 4, 2)
-        gp = pair_from_dense(f, rng.standard_normal((5, 4)))
-        cfg = StepConfig(eta=0.1, method=optim.METHOD_REFLORA_S,
-                         refactor_mode=refactor.identity_mode())
-        with pytest.raises(ValueError, match="no scalar form"):
-            optim.reflora_step(f, gp, cfg)
 
 
 class TestScaledGdStep:

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -194,31 +193,6 @@ class TestDeterminism:
         assert not np.allclose(inst.y[:, :2], f.a)
 
 
-class TestSerialization:
-    def test_matrix_round_trip(self, rng):
-        m = rng.standard_normal((3, 5))
-        buf = io.StringIO()
-        problems.write_matrix_text(buf, m)
-        buf.seek(0)
-        assert np.array_equal(problems.read_matrix_text(buf), m)
-
-    def test_instance_round_trip(self, tmp_path):
-        _, inst = problems.make_mf(6, 5, 2, seed=13)
-        path = tmp_path / "inst.txt"
-        problems.save_instance(path, inst)
-        loaded = problems.load_instance(path)
-        assert isinstance(loaded, problems.MfInstance)
-        assert loaded.seed == 13
-        assert np.array_equal(loaded.y, inst.y)
-
-        _, linreg = problems.make_linreg(3, 4, 5, seed=14)
-        path2 = tmp_path / "inst2.txt"
-        problems.save_instance(path2, linreg)
-        loaded2 = problems.load_instance(path2)
-        assert np.array_equal(loaded2.x, linreg.x)
-        assert np.array_equal(loaded2.y, linreg.y)
-
-
 def dense_value_and_grad(problem, f, scale):
     """Oracle: the dense loss and gradient at the full weight."""
     w = problem.full_weight(f, scale)
@@ -240,10 +214,7 @@ class TestValueAndGrad:
         tall = problems.MatrixFactorizationProblem(g.standard_normal((12, 7)))
         x, y = g.standard_normal((6, 9)), g.standard_normal((5, 9))
         linreg = problems.LinearRegressionProblem(x, y)
-        pretrained = problems.LinearRegressionProblem(
-            x, y, w_pretrained=g.standard_normal((5, 6)))
-        for problem, r in ((mf, 3), (wide, 2), (tall, 4), (linreg, 2),
-                           (pretrained, 2)):
+        for problem, r in ((mf, 3), (wide, 2), (tall, 4), (linreg, 2)):
             for scale in (1.0, 0.3):
                 f = LowRankFactors(g.standard_normal((problem.m, r)),
                                    g.standard_normal((problem.n, r)))
@@ -337,7 +308,6 @@ class TestValueAndGrad:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
-        assert problem.w_pretrained is None
         problem, inst = problems.make_mf(1024, 1024, 8, seed=3)
         assert inst.y.shape == (1024, 1024)
         assert problem.u.shape == (1024, 8) and problem.v.shape == (1024, 8)

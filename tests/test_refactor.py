@@ -8,7 +8,7 @@ from reflora import linalg, optim, props, refactor, rng
 from reflora.errors import (IllConditioned, InvalidEta, RankDeficient,
                             ZeroFactor)
 from reflora.optim import GradientPair, StepConfig
-from reflora.refactor import LowRankFactors
+from reflora.refactor import LowRankFactors, RefactorMode, THEOREM_EXACT
 
 from conftest import gen, random_orthogonal, rel_err
 
@@ -110,7 +110,7 @@ class TestGeometricMean:
 class TestOptimalS:
     def test_balanced_always_ignores_eta(self, rng):
         f = random_factors(rng, 6, 5, 2)
-        res = refactor.optimal_s(f, 1e-9, refactor.balanced_mode())
+        res = refactor.optimal_s(f, 1e-9, RefactorMode())
         assert res.branch == refactor.BRANCH_BALANCED
         assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) == 0.0
         assert res.g_value == pytest.approx(res.c_tilde, rel=1e-8)
@@ -119,7 +119,7 @@ class TestOptimalS:
         f = random_factors(rng, 6, 5, 2)
         lip = 1.0
         eta_c = 1.0 / (refactor.c_tilde(f) * lip)
-        res = refactor.optimal_s(f, eta_c, refactor.theorem_exact_mode(lip))
+        res = refactor.optimal_s(f, eta_c, RefactorMode(THEOREM_EXACT, lip))
         assert res.branch == refactor.BRANCH_BALANCED
         assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) < 1e-10
 
@@ -127,8 +127,8 @@ class TestOptimalS:
         # unit vectors, a = b: threshold constant 2; L = 1, eta = 1/4
         a = np.zeros((3, 1)); a[0, 0] = 1.0
         f = LowRankFactors(a, a.copy())
-        plus = refactor.optimal_s(f, 0.25, refactor.theorem_exact_mode(1.0, "plus"))
-        minus = refactor.optimal_s(f, 0.25, refactor.theorem_exact_mode(1.0, "minus"))
+        plus = refactor.optimal_s(f, 0.25, RefactorMode(THEOREM_EXACT, 1.0, "plus"))
+        minus = refactor.optimal_s(f, 0.25, RefactorMode(THEOREM_EXACT, 1.0, "minus"))
         assert plus.s_matrix[0, 0] == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
         assert minus.s_matrix[0, 0] == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-12)
         assert plus.branch == refactor.BRANCH_SMALL_ETA_PLUS
@@ -140,28 +140,20 @@ class TestOptimalS:
         lip = 2.0
         eta = 0.01 / (refactor.c_tilde(f) * lip)
         for root in ("plus", "minus"):
-            res = refactor.optimal_s(f, eta, refactor.theorem_exact_mode(lip, root))
+            res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip, root))
             target = 1.0 / (lip * eta)
             assert abs(g_oracle(f, res.s_matrix) - target) <= 1e-8 * target
             assert res.g_value == pytest.approx(target, rel=1e-12)
 
     def test_negative_eta_is_balanced(self, rng):
         f = random_factors(rng, 5, 4, 2)
-        res = refactor.optimal_s(f, -0.3, refactor.theorem_exact_mode(1.0))
+        res = refactor.optimal_s(f, -0.3, RefactorMode(THEOREM_EXACT, 1.0))
         assert res.branch == refactor.BRANCH_BALANCED
 
     def test_eta_zero_rejected(self, rng):
         f = random_factors(rng, 5, 4, 2)
         with pytest.raises(InvalidEta):
-            refactor.optimal_s(f, 0.0, refactor.theorem_exact_mode(1.0))
-
-    def test_identity_mode(self, rng):
-        f = random_factors(rng, 5, 4, 2)
-        res = refactor.optimal_s(f, 0.1, refactor.identity_mode())
-        assert res.branch == refactor.BRANCH_IDENTITY
-        assert rel_err(res.s_matrix, np.eye(2)) == 0.0
-        expected = float(np.sum(f.a ** 2) + np.sum(f.b ** 2))
-        assert res.g_value == pytest.approx(expected, rel=1e-12)
+            refactor.optimal_s(f, 0.0, RefactorMode(THEOREM_EXACT, 1.0))
 
 
 class TestOptimalScalar:
@@ -169,7 +161,7 @@ class TestOptimalScalar:
         a = np.zeros((3, 1)); a[0, 0] = 2.0
         b = np.zeros((4, 1)); b[2, 0] = 1.0
         f = LowRankFactors(a, b)
-        res = refactor.optimal_scalar(f, 10.0, refactor.balanced_mode())
+        res = refactor.optimal_scalar(f, 10.0, RefactorMode())
         assert res.s_scalar == pytest.approx(0.5, rel=1e-15)
         assert res.branch == refactor.BRANCH_BALANCED
 
@@ -178,8 +170,8 @@ class TestOptimalScalar:
         a = np.zeros((2, 1)); a[0, 0] = 1.0
         b = np.zeros((2, 1)); b[1, 0] = 1.0
         f = LowRankFactors(a, b)
-        mode_p = refactor.theorem_exact_mode(1.0, "plus")
-        mode_m = refactor.theorem_exact_mode(1.0, "minus")
+        mode_p = RefactorMode(THEOREM_EXACT, 1.0, "plus")
+        mode_m = RefactorMode(THEOREM_EXACT, 1.0, "minus")
         assert refactor.optimal_scalar(f, 0.25, mode_p).s_scalar == \
             pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
         assert refactor.optimal_scalar(f, 0.25, mode_m).s_scalar == \
@@ -193,7 +185,7 @@ class TestOptimalScalar:
         lip = 1.0
         eta = 0.05 / (2.0 * np.sqrt(a2 * b2) * lip)
         for root in ("plus", "minus"):
-            mode = refactor.theorem_exact_mode(lip, root)
+            mode = RefactorMode(THEOREM_EXACT, lip, root)
             s = refactor.optimal_scalar(f, eta, mode).s_scalar
             h = (a2 * s + b2 / s - 1.0 / (lip * eta)) ** 2
             assert h <= 1e-16
@@ -201,12 +193,12 @@ class TestOptimalScalar:
     def test_zero_factor_rejected(self):
         f = LowRankFactors(np.ones((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ZeroFactor):
-            refactor.optimal_scalar(f, 0.1, refactor.balanced_mode())
+            refactor.optimal_scalar(f, 0.1, RefactorMode())
 
     def test_critical_point(self, rng):
         for _ in range(50):
             f = random_factors(rng, 7, 6, 3)
-            s = refactor.optimal_scalar(f, 1.0, refactor.balanced_mode()).s_scalar
+            s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s_scalar
             a2 = float(np.sum(f.a ** 2))
             b2 = float(np.sum(f.b ** 2))
             assert a2 * s * s == pytest.approx(b2, rel=1e-12)
@@ -216,8 +208,8 @@ class TestOptimalScalar:
         # problem; eta stays off the threshold, where the two c_tilde may
         # differ by an ulp and pick different branches
         g = gen(17)
-        modes = [refactor.balanced_mode()] + [
-            refactor.theorem_exact_mode(lip, root)
+        modes = [RefactorMode()] + [
+            RefactorMode(THEOREM_EXACT, lip, root)
             for lip in (0.5, 3.0) for root in ("plus", "minus")]
         for _ in range(100):
             m, n = (int(d) for d in g.integers(1, 9, size=2))
@@ -238,7 +230,7 @@ class TestOptimalScalar:
 
 class TestRefactorMode:
     def test_exactly_the_cli_kinds(self):
-        assert refactor.MODES == ("balanced", "theorem-exact", "identity")
+        assert refactor.MODES == ("balanced", "theorem-exact")
         for kind in refactor.MODES:
             assert refactor.RefactorMode(kind, lipschitz=1.0).kind == kind
         for kind in ("scalar", "scalar-theorem-exact", "bogus"):
@@ -297,7 +289,7 @@ class TestUpperBoundEval:
         f = random_factors(rng, 5, 4, 2)
         lip, eta = 2.0, 0.01
         # scale the balanced matrix so g(S) equals exactly 1/(L eta)
-        res = refactor.optimal_s(f, eta, refactor.theorem_exact_mode(lip))
+        res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip))
         got = refactor.upper_bound_eval(f, res.s_matrix, eta, lip, 5.0,
                                         const_terms=4.5)
         assert got == pytest.approx(4.5, abs=1e-10)
@@ -346,9 +338,9 @@ class TestKernelContract:
         scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         consumers = [
             lambda: refactor.geometric_mean_s(f),
-            lambda: refactor.optimal_s(f, 0.01, refactor.balanced_mode()).s_matrix,
+            lambda: refactor.optimal_s(f, 0.01, RefactorMode()).s_matrix,
             lambda: refactor.optimal_s(
-                f, 1e-6, refactor.theorem_exact_mode(1.0)).s_matrix,
+                f, 1e-6, RefactorMode(THEOREM_EXACT, 1.0)).s_matrix,
             lambda: optim.reflora_step(f, gp, cfg, t=5),
             lambda: optim.reflora_step(f, gp, scaledgd, t=5),
             lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
@@ -419,12 +411,12 @@ class TestKernelContract:
             assert k.full_rank and k.c_tilde == np.inf
             assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
             assert refactor.c_tilde(f) == np.inf
-            res = refactor.optimal_s(f, 0.01, refactor.balanced_mode())
+            res = refactor.optimal_s(f, 0.01, RefactorMode())
             assert res.c_tilde == np.inf
-            res = refactor.optimal_s(f, 1e-6, refactor.theorem_exact_mode(1.0))
+            res = refactor.optimal_s(f, 1e-6, RefactorMode(THEOREM_EXACT, 1.0))
             assert res.branch == refactor.BRANCH_BALANCED
-            for mode in (refactor.balanced_mode(),
-                         refactor.theorem_exact_mode(1.0)):
+            for mode in (RefactorMode(),
+                         RefactorMode(THEOREM_EXACT, 1.0)):
                 cfg = StepConfig(eta=1e-6, method=optim.METHOD_REFLORA,
                                  refactor_mode=mode, warmup_steps=0)
                 out, _ = optim.reflora_step(f, gp, cfg, t=5)
