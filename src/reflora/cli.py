@@ -208,8 +208,8 @@ def _check_flags(args: argparse.Namespace) -> None:
         items = value if isinstance(value, list) else [value]
         if not items or not all(map(ok, items)):
             raise UsageError(f"--{flag}: expected {requirement}, got {value!r}")
+    methods = getattr(args, "methods", [getattr(args, "method", None)])
     if hasattr(args, "mode"):
-        methods = getattr(args, "methods", [getattr(args, "method", None)])
         if optim.METHOD_SCALEDGD in methods and args.optimizer != optim.GD:
             raise UsageError("--optimizer: scaledgd is a plain-GD baseline")
         if args.mode == refactor.THEOREM_EXACT and \
@@ -219,8 +219,15 @@ def _check_flags(args: argparse.Namespace) -> None:
     if hasattr(args, "rank") and args.rank > min(args.m, args.n):
         raise UsageError(f"--rank: {args.rank} exceeds min(m, n) = "
                          f"{min(args.m, args.n)}")
-    if getattr(args, "problem", None) == "linreg" and args.k < 1:
-        raise UsageError("--k: need at least 1")
+    if args.command == "linreg" or getattr(args, "problem", None) == "linreg":
+        if args.k < 1:
+            raise UsageError("--k: need at least 1")
+        # from B = 0, GD keeps B in the k-dim column space of X, so past
+        # warmup a rank > k pair can only be rank-deficient
+        if (args.sigma_b == 0 and args.rank > args.k and args.steps > args.warmup
+                and {optim.METHOD_REFLORA, optim.METHOD_SCALEDGD} & set(methods)):
+            raise UsageError(f"--rank: {args.rank} exceeds --k {args.k}, so from "
+                             "--sigma-b 0 reflora and scaledgd fail after warmup")
     if hasattr(args, "eta_min") and args.eta_min >= args.eta_max:
         raise UsageError("--eta-min: must be below --eta-max")
     if hasattr(args, "ranks") and max(args.ranks) > min(args.dims):

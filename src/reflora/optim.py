@@ -10,10 +10,10 @@ gradients grad(W) @ B and grad(W).T @ A as a GradientPair. `reflora` and
 `scaledgd` read S, S^{-1} and the inverse Grams from one run of the
 refactor kernel (`refactor.balance`: two Cholesky passes per factor and
 one r x r SVD), so their per-step overhead is O((m + n + r) r^2); the
-scalar variant costs O((m + n) r). The kernel's result is cached on the
-immutable factor pair, so each iterate costs one kernel run, shared by
-the step and its warmup check; the harness's trace snapshot reads no
-kernel result. All transitions are pure: state in, state out.
+scalar variant costs O((m + n) r). Each step runs the kernel once, and
+its result serves both the preconditioner and the warmup check; the
+harness's trace snapshot runs no kernel. All transitions are pure: state
+in, state out.
 """
 
 import dataclasses
@@ -37,6 +37,9 @@ METHOD_REFLORA_S = "reflora-s"
 METHOD_SCALEDGD = "scaledgd"
 
 OPTIMIZERS = (GD, ADAM, ADAMW)
+
+# Adam's fixed moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,6 @@ class OptimizerState:
     m_b: Array
     v_b: Array
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
@@ -125,15 +125,15 @@ def delta_w(f_before: LowRankFactors, f_after: LowRankFactors) -> Array:
     return f_after.product() - f_before.product()
 
 
-# The method table. Each entry reads the pair's cached kernel result (or
-# its norms) and returns (p_a, p_b, s): g_a and g_b are right-multiplied by
-# p_a and p_b (None: by I), and the update rule steps on the pair rescaled
-# to (sqrt(s) A, B / sqrt(s)), which becomes the next iterate.
+# The method table. Each entry runs the refactor kernel once (or reads the
+# pair's norms) and returns (p_a, p_b, s): g_a and g_b are right-multiplied
+# by p_a and p_b (None: by I), and the update rule steps on the pair
+# rescaled to (sqrt(s) A, B / sqrt(s)), which becomes the next iterate.
 Preconditioner = tuple[Optional[Array], Optional[Array], float]
 
 
 def _reflora(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    result = refactor.optimal_s(f, cfg.eta, cfg.refactor_mode)
+    result = refactor.optimal_s(refactor.balance(f), cfg.eta, cfg.refactor_mode)
     return result.s_inverse, result.s_matrix, 1.0
 
 
@@ -207,10 +207,10 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     step = state.step + 1
     decoupled = optimizer == ADAMW
     a, m_a, v_a = adam_update(a, g_a, state.m_a, state.v_a, step, cfg.eta,
-                              state.beta1, state.beta2, state.eps_adam,
+                              ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               state.weight_decay, decoupled)
     b, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step, cfg.eta,
-                              state.beta1, state.beta2, state.eps_adam,
+                              ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               state.weight_decay, decoupled)
     return LowRankFactors(a, b), dataclasses.replace(
         state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b, step=step)

@@ -119,7 +119,7 @@ def check_product_sqrt_identity(gen, trials: int) -> PropResult:
 # ---------------------------------------------------------------------------
 # refactor invariants
 
-def check_balance(gen, trials: int) -> PropResult:
+def check_balanced_grams(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(trials):
         f = random_factors(gen)
@@ -344,7 +344,7 @@ ALL_CHECKS = (
     check_inv_sqrt_inverse,
     check_norm_ordering,
     check_product_sqrt_identity,
-    check_balance,
+    check_balanced_grams,
     check_stationarity,
     check_gram_product_form,
     check_minimality,

@@ -16,7 +16,7 @@ R-factors of A and B and never forms A @ B.T or inverts a Gram matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,16 +39,11 @@ class LowRankFactors:
 
     The pair is immutable: a and b are read-only views of the arrays it
     was built from (no copy is made, and the caller's arrays stay
-    writable), so `balance` computes its result once per pair and keeps
-    it on the instance. Writing to an array after building a pair from it
-    would leave that cached result stale; build a new pair instead.
+    writable), so a step cannot alter the pair it was given.
     """
 
     a: Array
     b: Array
-    # the refactor kernel's result for this pair, set by `balance`
-    _cached_balance: Optional["Balance"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = linalg.check_finite(self.a, "factor A")
@@ -77,7 +72,6 @@ class LowRankFactors:
         obj = object.__new__(cls)
         object.__setattr__(obj, "a", _read_only(np.asarray(a, dtype=float)))
         object.__setattr__(obj, "b", _read_only(np.asarray(b, dtype=float)))
-        object.__setattr__(obj, "_cached_balance", None)
         return obj
 
     @property
@@ -184,9 +178,7 @@ class Balance:
     full-rank pair: s solves S (A^T A) S = B^T B, s_inv is its inverse,
     and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}, each None when
     it leaves the normal float range (e.g. for (1e-160 A, 1e-160 B), where
-    S is still representable). `balance` computes it once per pair and
-    caches it on the immutable LowRankFactors, so every consumer of one
-    pair shares the same object, and its arrays are read-only.
+    S is still representable).
     """
 
     full_rank: bool
@@ -195,11 +187,6 @@ class Balance:
     s_inv: Optional[Array] = None
     ga_inv: Optional[Array] = None
     gb_inv: Optional[Array] = None
-
-    def __post_init__(self):
-        for x in (self.s, self.s_inv, self.ga_inv, self.gb_inv):
-            if x is not None:
-                x.flags.writeable = False
 
     def require_full_rank(self) -> "Balance":
         if not self.full_rank:
@@ -242,22 +229,8 @@ def _r_factors(f: LowRankFactors) -> Optional[tuple[list[int], Array,
 def balance(f: LowRankFactors) -> Balance:
     """The refactor kernel: S, S^{-1}, c_tilde and the rank verdict.
 
-    The result is computed on the first call for a pair and cached on it
-    (a LowRankFactors is immutable), so the step and the rank guard of one
-    iterate share one kernel run. IllConditioned is not cached: it is
-    raised again on every call.
-    """
-    k = f._cached_balance
-    if k is None:
-        k = _balance(f)
-        object.__setattr__(f, "_cached_balance", k)
-    return k
-
-
-def _balance(f: LowRankFactors) -> Balance:
-    """The uncached kernel behind `balance`.
-
-    With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
+    Each call is one kernel run; a caller that needs the result more than
+    once passes it on. With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
     Ra Rb^T = U Sigma W^T gives the balanced matrix
 
         S = 2^(eb - ea) Ra^{-1} U Sigma U^T Ra^{-T},
@@ -392,13 +365,14 @@ def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, st
     return 1.0 / plus, BRANCH_SMALL_ETA_MINUS
 
 
-def optimal_s(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
+def optimal_s(k: Balance, eta: float, mode: RefactorMode) -> RefactorResult:
     """S minimizing the loss upper bound, per the configured mode.
 
-    The balanced S from the kernel, scaled by `_bound_scaling`'s gamma
-    (and S^{-1} by 1/gamma).
+    The balanced S of the kernel result `k = balance(f)`, which must be
+    full rank (else RankDeficient), scaled by `_bound_scaling`'s gamma (and
+    S^{-1} by 1/gamma).
     """
-    k = balance(f).require_full_rank()
+    k.require_full_rank()
     ct = k.c_tilde
     gamma, branch = _bound_scaling(ct, eta, mode)
     if branch == BRANCH_BALANCED:

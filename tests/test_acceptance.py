@@ -117,10 +117,12 @@ def test_criterion_04_small_eta_branch():
         eta = float(g.uniform(0.001, 0.999)) / (ct * lip)
         target = 1.0 / (lip * eta)
         for root in ("plus", "minus"):
-            res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip, root))
+            res = refactor.optimal_s(refactor.balance(f),
+                                     eta, RefactorMode(THEOREM_EXACT, lip, root))
             worst = max(worst, abs(g_oracle(f, res.s_matrix) - target) / target)
         eta_c = 1.0 / (ct * lip)
-        res_b = refactor.optimal_s(f, eta_c, RefactorMode(THEOREM_EXACT, lip))
+        res_b = refactor.optimal_s(refactor.balance(f),
+                                   eta_c, RefactorMode(THEOREM_EXACT, lip))
         s_tilde = refactor.geometric_mean_s(f)
         worst_boundary = max(worst_boundary,
                              np.linalg.norm(res_b.s_matrix - s_tilde)
@@ -324,7 +326,7 @@ def test_criterion_11_bound_scan_reproduction():
             s = np.eye(1)
         else:
             s = refactor.optimal_s(
-                f, row.eta, RefactorMode(THEOREM_EXACT, lip)).s_matrix
+                refactor.balance(f), row.eta, RefactorMode(THEOREM_EXACT, lip)).s_matrix
         m_term = f.a @ s @ (f.a.T @ grad) + grad @ f.b @ np.linalg.inv(s) @ f.b.T
         remainder = -lip * row.eta ** 3 * float(np.sum(m_term * r_term))
         assert remainder == pytest.approx(row.remainder, rel=1e-9, abs=1e-12)

@@ -110,3 +110,11 @@ def test_mf_run_executes_the_stepper(method):
         sys.setprofile(None)
     assert code == 0
     assert optim.reflora_step.__code__ in executed
+
+
+def test_perfbench_selftest_passes(monkeypatch):
+    # perfbench/selftest.py runs before every benchmark run and wraps
+    # reflora functions by name (perfbench/layers.py), so deleting or
+    # renaming one of them fails every run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert load_perfbench("selftest").run_all() == []

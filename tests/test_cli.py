@@ -134,6 +134,19 @@ class TestDims:
         (["overhead", "--dims", "4", "--ranks", "8"], "--ranks"),
         (["overhead", "--dims", "16", "--ranks", "0"], "--ranks"),
         (["mf", "--alpha", "-inf"], "--alpha"),
+        # linreg from B = 0 keeps B at rank <= k, so reflora and scaledgd
+        # can only fail once warmup ends
+        (["compare", "--problem", "linreg", "--steps", "20"], "--rank"),
+        (["linreg", "--m", "6", "--n", "5", "--rank", "3", "--sigma-b", "0",
+          "--steps", "20"], "--rank"),
+        (["linreg", "--m", "6", "--n", "5", "--rank", "3", "--sigma-b", "0",
+          "--optimizer", "adamw", "--steps", "20"], "--rank"),
+        (["compare", "--problem", "linreg", "--m", "6", "--n", "5", "--rank",
+          "3", "--optimizer", "adam", "--methods", "reflora", "--warmup", "5",
+          "--steps", "20"], "--rank"),
+        (["compare", "--problem", "linreg", "--m", "6", "--n", "5", "--rank",
+          "3", "--methods", "lora,scaledgd", "--warmup", "5", "--steps", "20"],
+         "--rank"),
     ])
     def test_usage_error(self, capsys, monkeypatch, argv, flag):
         for name in ("make_mf", "make_linreg"):
@@ -195,6 +208,16 @@ class TestFlagTable:
         (["mf", "--lipschitz", "-1"], ["mf"]),  # balanced mode ignores it
         (["compare", "--etas", "0.01,,0.02"], ["compare", "--etas", "0.01,0.02"]),
         (["compare", "--etas", "0.01,1e-3"], ["compare", "--etas", "0.01,0.001"]),
+        # linreg at rank 2 > k = 1: only reflora and scaledgd past warmup
+        # from B = 0 can only fail
+        (["compare", "--problem", "linreg", "--k", "1", "--methods",
+          "lora,reflora-s"], None),
+        (["compare", "--problem", "linreg", "--k", "1", "--warmup", "3"], None),
+        (["compare", "--problem", "linreg", "--k", "1", "--sigma-b", "0.1"],
+         None),
+        (["linreg", "--k", "1", "--sigma-b", "0", "--method", "lora"], None),
+        (["linreg", "--k", "1", "--sigma-b", "0", "--method", "reflora-s",
+          "--optimizer", "adam"], None),
     ])
     def test_no_over_rejection(self, tmp_path, argv, same_as):
         out = tmp_path / "out.csv"

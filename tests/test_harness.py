@@ -176,6 +176,12 @@ class TestCompare:
         with pytest.raises(ValueError):
             harness.compare([mf_spec(seed=0), mf_spec(seed=1)])
 
+    @pytest.mark.parametrize("other", [{"iterations": 20}, {"log_every": 3}])
+    def test_mismatched_steps_rejected(self, other):
+        with pytest.raises(ValueError, match="iterations and log_every"):
+            harness.compare([mf_spec(iterations=10),
+                             mf_spec(**{"iterations": 10, **other})])
+
     def test_rerun_identical(self):
         specs = [mf_spec(method=m, iterations=20)
                  for m in ("lora", "reflora")]
@@ -344,13 +350,13 @@ class TestOverheadProbe:
 
 
 class TestKernelRuns:
-    """The refactor kernel runs once per factor pair."""
+    """The refactor kernel runs once per step, and once per bound scan."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
         runs = []
-        kernel = refactor._balance
-        monkeypatch.setattr(refactor, "_balance",
+        kernel = refactor.balance
+        monkeypatch.setattr(refactor, "balance",
                             lambda f: runs.append(f) or kernel(f))
         return runs
 
@@ -376,7 +382,7 @@ class TestKernelRuns:
 
     def test_overhead_probe_times_uncached_calls(self, runs):
         # the reflora and ScaledGD steppers and their refactor phases each
-        # time `repeats` calls, every one on a fresh pair
+        # time `repeats` calls, every one a kernel run
         repeats = 10
         harness.overhead_probe([16], [2], repeats=repeats, seed=1)
         assert len(runs) >= 4 * repeats

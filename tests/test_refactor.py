@@ -110,7 +110,7 @@ class TestGeometricMean:
 class TestOptimalS:
     def test_balanced_always_ignores_eta(self, rng):
         f = random_factors(rng, 6, 5, 2)
-        res = refactor.optimal_s(f, 1e-9, RefactorMode())
+        res = refactor.optimal_s(refactor.balance(f), 1e-9, RefactorMode())
         assert res.branch == refactor.BRANCH_BALANCED
         assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) == 0.0
         assert res.g_value == pytest.approx(res.c_tilde, rel=1e-8)
@@ -119,7 +119,8 @@ class TestOptimalS:
         f = random_factors(rng, 6, 5, 2)
         lip = 1.0
         eta_c = 1.0 / (refactor.c_tilde(f) * lip)
-        res = refactor.optimal_s(f, eta_c, RefactorMode(THEOREM_EXACT, lip))
+        res = refactor.optimal_s(refactor.balance(f),
+                                 eta_c, RefactorMode(THEOREM_EXACT, lip))
         assert res.branch == refactor.BRANCH_BALANCED
         assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) < 1e-10
 
@@ -127,8 +128,10 @@ class TestOptimalS:
         # unit vectors, a = b: threshold constant 2; L = 1, eta = 1/4
         a = np.zeros((3, 1)); a[0, 0] = 1.0
         f = LowRankFactors(a, a.copy())
-        plus = refactor.optimal_s(f, 0.25, RefactorMode(THEOREM_EXACT, 1.0, "plus"))
-        minus = refactor.optimal_s(f, 0.25, RefactorMode(THEOREM_EXACT, 1.0, "minus"))
+        plus = refactor.optimal_s(refactor.balance(f),
+                                  0.25, RefactorMode(THEOREM_EXACT, 1.0, "plus"))
+        minus = refactor.optimal_s(refactor.balance(f),
+                                   0.25, RefactorMode(THEOREM_EXACT, 1.0, "minus"))
         assert plus.s_matrix[0, 0] == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
         assert minus.s_matrix[0, 0] == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-12)
         assert plus.branch == refactor.BRANCH_SMALL_ETA_PLUS
@@ -140,20 +143,31 @@ class TestOptimalS:
         lip = 2.0
         eta = 0.01 / (refactor.c_tilde(f) * lip)
         for root in ("plus", "minus"):
-            res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip, root))
+            res = refactor.optimal_s(refactor.balance(f),
+                                     eta, RefactorMode(THEOREM_EXACT, lip, root))
             target = 1.0 / (lip * eta)
             assert abs(g_oracle(f, res.s_matrix) - target) <= 1e-8 * target
             assert res.g_value == pytest.approx(target, rel=1e-12)
 
     def test_negative_eta_is_balanced(self, rng):
         f = random_factors(rng, 5, 4, 2)
-        res = refactor.optimal_s(f, -0.3, RefactorMode(THEOREM_EXACT, 1.0))
+        res = refactor.optimal_s(refactor.balance(f),
+                                 -0.3, RefactorMode(THEOREM_EXACT, 1.0))
         assert res.branch == refactor.BRANCH_BALANCED
 
     def test_eta_zero_rejected(self, rng):
         f = random_factors(rng, 5, 4, 2)
         with pytest.raises(InvalidEta):
-            refactor.optimal_s(f, 0.0, RefactorMode(THEOREM_EXACT, 1.0))
+            refactor.optimal_s(refactor.balance(f),
+                               0.0, RefactorMode(THEOREM_EXACT, 1.0))
+
+    def test_rank_deficient_kernel_result_rejected(self):
+        f = LowRankFactors(np.ones((4, 2)), np.arange(6.0).reshape(3, 2))
+        k = refactor.balance(f)
+        assert not k.full_rank
+        for mode in (RefactorMode(), RefactorMode(THEOREM_EXACT, 1.0)):
+            with pytest.raises(RankDeficient):
+                refactor.optimal_s(k, 0.01, mode)
 
 
 class TestOptimalScalar:
@@ -220,7 +234,7 @@ class TestOptimalScalar:
                 eta_c = 1.0 / (refactor.c_tilde(f) * lip)
                 for eta in (0.001 * eta_c, 0.3 * eta_c, 0.99 * eta_c,
                             2.0 * eta_c, -0.5 * eta_c):
-                    mat = refactor.optimal_s(f, eta, mode)
+                    mat = refactor.optimal_s(refactor.balance(f), eta, mode)
                     sca = refactor.optimal_scalar(f, eta, mode)
                     assert sca.branch == mat.branch
                     assert rel_err(sca.s_scalar, mat.s_matrix[0, 0]) <= 1e-13
@@ -289,7 +303,8 @@ class TestUpperBoundEval:
         f = random_factors(rng, 5, 4, 2)
         lip, eta = 2.0, 0.01
         # scale the balanced matrix so g(S) equals exactly 1/(L eta)
-        res = refactor.optimal_s(f, eta, RefactorMode(THEOREM_EXACT, lip))
+        res = refactor.optimal_s(refactor.balance(f),
+                                 eta, RefactorMode(THEOREM_EXACT, lip))
         got = refactor.upper_bound_eval(f, res.s_matrix, eta, lip, 5.0,
                                         const_terms=4.5)
         assert got == pytest.approx(4.5, abs=1e-10)
@@ -338,9 +353,10 @@ class TestKernelContract:
         scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         consumers = [
             lambda: refactor.geometric_mean_s(f),
-            lambda: refactor.optimal_s(f, 0.01, RefactorMode()).s_matrix,
+            lambda: refactor.optimal_s(refactor.balance(f),
+                                       0.01, RefactorMode()).s_matrix,
             lambda: refactor.optimal_s(
-                f, 1e-6, RefactorMode(THEOREM_EXACT, 1.0)).s_matrix,
+                refactor.balance(f), 1e-6, RefactorMode(THEOREM_EXACT, 1.0)).s_matrix,
             lambda: optim.reflora_step(f, gp, cfg, t=5),
             lambda: optim.reflora_step(f, gp, scaledgd, t=5),
             lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
@@ -411,9 +427,10 @@ class TestKernelContract:
             assert k.full_rank and k.c_tilde == np.inf
             assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
             assert refactor.c_tilde(f) == np.inf
-            res = refactor.optimal_s(f, 0.01, RefactorMode())
+            res = refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
             assert res.c_tilde == np.inf
-            res = refactor.optimal_s(f, 1e-6, RefactorMode(THEOREM_EXACT, 1.0))
+            res = refactor.optimal_s(refactor.balance(f),
+                                     1e-6, RefactorMode(THEOREM_EXACT, 1.0))
             assert res.branch == refactor.BRANCH_BALANCED
             for mode in (RefactorMode(),
                          RefactorMode(THEOREM_EXACT, 1.0)):
@@ -507,49 +524,8 @@ class TestLowRankFactors:
         a[0, 0] = 1.0  # the caller's arrays stay writable
         b[0, 0] = 1.0
 
-    def test_balance_cached_per_pair(self, rng, monkeypatch):
-        runs = []
-        kernel = refactor._balance
-        monkeypatch.setattr(refactor, "_balance",
-                            lambda f: runs.append(f) or kernel(f))
-        f = random_factors(rng, 6, 5, 2)
-        k = refactor.balance(f)
-        assert refactor.balance(f) is k
-        assert f.is_full_rank() and refactor.geometric_mean_s(f) is k.s
-        assert refactor.c_tilde(f) == k.c_tilde
-        assert len(runs) == 1
-        with pytest.raises(ValueError):
-            k.s[0, 0] = 1.0
-        cache = {x.name: x for x in dataclasses.fields(f)}["_cached_balance"]
-        assert not (cache.init or cache.repr or cache.compare)
-        a = f.a.copy()
-        a[0, 0] += 1.0
-        g = LowRankFactors(a, f.b)
-        k2 = refactor.balance(g)
-        assert k2 is not k and len(runs) == 2
-        assert not np.array_equal(k2.s, k.s)
-        assert np.array_equal(k2.s, kernel(LowRankFactors(a, f.b)).s)
-
-    def test_ill_conditioned_not_cached(self, monkeypatch):
-        runs = []
-        kernel = refactor._balance
-        monkeypatch.setattr(refactor, "_balance",
-                            lambda f: runs.append(f) or kernel(f))
-        f0 = random_factors(gen(208), 9, 7, 3)
-        f = LowRankFactors(1e160 * f0.a, f0.b / 1e160)
-        for _ in range(2):
-            with pytest.raises(IllConditioned):
-                refactor.balance(f)
-        assert len(runs) == 2
-
-    def test_fault_injection_after_caching(self, rng):
-        f = random_factors(rng, 6, 5, 2)
-        k = refactor.balance(f)
-        with props.inject_refactor_fault():
-            assert np.array_equal(refactor.geometric_mean_s(f), k.s_inv)
-            assert np.array_equal(refactor.balance(f).s, k.s_inv)
-        assert refactor.balance(f) is k
-        assert refactor.geometric_mean_s(f) is k.s
+    def test_fields_are_the_factors(self):
+        assert [x.name for x in dataclasses.fields(LowRankFactors)] == ["a", "b"]
 
     def test_full_rank_flag(self, rng):
         f = random_factors(rng, 6, 5, 2)
