@@ -33,7 +33,7 @@ class RunSpec:
     r: int
     seed: int
     eta: float
-    method: str = optim.METHOD_LORA_GD
+    method: str = optim.METHOD_LORA
     optimizer: str = optim.GD
     refactor_mode: RefactorMode = RefactorMode()
     warmup_steps: int = 1
@@ -397,7 +397,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
                 for name in optim.METHODS
             }
             phases = {
-                optim.METHOD_LORA_GD: None,
+                optim.METHOD_LORA: None,
                 optim.METHOD_REFLORA: refactor.geometric_mean_s,
                 optim.METHOD_REFLORA_S: lambda p: refactor.optimal_scalar(
                     p, eta, RefactorMode()),
@@ -405,7 +405,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
             }
             medians = {name: _median_time_ns(fn, f, repeats)
                        for name, fn in steppers.items()}
-            base = medians[optim.METHOD_LORA_GD]
+            base = medians[optim.METHOD_LORA]
             for name in optim.METHODS:
                 phase_fn = phases[name]
                 phase = (_median_time_ns(phase_fn, f, repeats)

@@ -29,9 +29,9 @@ def check_finite(m: Array, name: str = "matrix") -> Array:
     return m
 
 
-def is_symmetric(m: Array, rel_tol: float = SPD_EPS) -> bool:
-    """Entrywise symmetry test: |m[i,j] - m[j,i]| <= rel_tol * (1 + |m[i,j]|)."""
-    return bool(np.all(np.abs(m - m.T) <= rel_tol * (1.0 + np.abs(m))))
+def is_symmetric(m: Array) -> bool:
+    """Entrywise symmetry test: |m[i,j] - m[j,i]| <= SPD_EPS * (1 + |m[i,j]|)."""
+    return bool(np.all(np.abs(m - m.T) <= SPD_EPS * (1.0 + np.abs(m))))
 
 
 def _spd_eigh(m: Array, name: str) -> tuple[Array, Array]:

@@ -31,7 +31,7 @@ GD = "gd"
 ADAM = "adam"
 ADAMW = "adamw"
 
-METHOD_LORA_GD = "lora"
+METHOD_LORA = "lora"
 METHOD_REFLORA = "reflora"
 METHOD_REFLORA_S = "reflora-s"
 METHOD_SCALEDGD = "scaledgd"
@@ -150,7 +150,7 @@ def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
 
 
 METHODS = {
-    METHOD_LORA_GD: lambda f, cfg: (None, None, 1.0),
+    METHOD_LORA: lambda f, cfg: (None, None, 1.0),
     METHOD_REFLORA: _reflora,
     METHOD_REFLORA_S: _reflora_s,
     METHOD_SCALEDGD: _scaledgd,
@@ -178,6 +178,11 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
     iterations, leaving the optimizer state unchanged; past warmup it is an
     error. `lora` never needs full rank.
+
+    The new pair is built unchecked: it is this arithmetic on a validated
+    pair and shape-checked gradients, so its shapes hold, and an entry that
+    overflowed shows up as a non-finite next loss, which the run loop
+    records as divergence.
     """
     grad_w_times.check_shapes(f)
     g_a, g_b = grad_w_times.g_a, grad_w_times.g_b
@@ -194,8 +199,8 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     rs = np.sqrt(s)
     if optimizer == GD:
         # the rescaled pair's gradients are (g_a / rs, rs g_b)
-        return LowRankFactors(rs * f.a - (cfg.eta / rs) * g_a,
-                              f.b / rs - (cfg.eta * rs) * g_b), state
+        return LowRankFactors.unchecked(rs * f.a - (cfg.eta / rs) * g_a,
+                                        f.b / rs - (cfg.eta * rs) * g_b), state
     if state is None:
         raise ValueError("adaptive optimizer needs an OptimizerState")
     a, b = f.a, f.b
@@ -212,7 +217,7 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     b, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step, cfg.eta,
                               ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               state.weight_decay, decoupled)
-    return LowRankFactors(a, b), dataclasses.replace(
+    return LowRankFactors.unchecked(a, b), dataclasses.replace(
         state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b, step=step)
 
 

@@ -13,15 +13,16 @@ regression works on the m x k residual, at O((m + n) r k). The dense
 `loss(w)`, `grad(w)` and `full_weight` remain as the reference the tests
 check the fused call against.
 
-`make_mf` is matrix-free as well: it draws the top singular values from
-the bidiagonal model of a Gaussian matrix and the singular vectors as Haar
-frames, in O((m + n) r) memory plus one small tridiagonal block. The
-dense Y exists only on demand, through the `y` properties, for the dense
-reference path and the tests.
+Each instance exists once, as the data dataclass `make_*` returns next to
+its problem: the problem is the loss over that instance and holds it as
+`inst`. `make_mf` is matrix-free as well: it draws the top singular values
+from the bidiagonal model of a Gaussian matrix and the singular vectors as
+Haar frames, in O((m + n) r) memory plus one small tridiagonal block. The
+dense Y exists only on demand, as `MfInstance.y`, for the dense reference
+path and the tests.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,10 +47,6 @@ class MfInstance:
     u: Array
     sigma: Array
     v: Array
-    m: int
-    n: int
-    r: int
-    seed: int
 
     @property
     def y(self) -> Array:
@@ -62,10 +59,6 @@ class LinRegInstance:
 
     x: Array
     y: Array
-    m: int
-    n: int
-    k: int
-    seed: int
 
 
 class Problem:
@@ -76,9 +69,7 @@ class Problem:
     conventions and 1.0 in all desk-scale experiments.
     """
 
-    def __init__(self, name: str, m: int, n: int,
-                 lipschitz: Optional[float] = None):
-        self.name = name
+    def __init__(self, m: int, n: int, lipschitz: float):
         self.m = m
         self.n = n
         self.lipschitz = lipschitz
@@ -104,42 +95,21 @@ class Problem:
     def loss_at_factors(self, f: LowRankFactors, scale: float = 1.0) -> float:
         return self.value_and_grad(f, scale)[0]
 
-    def grad_pair(self, f: LowRankFactors, scale: float = 1.0) -> GradientPair:
-        return self.value_and_grad(f, scale)[1]
-
 
 class MatrixFactorizationProblem(Problem):
-    """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1.
+    """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1,
+    over the target Y = U diag(sigma) V^T of `inst`."""
 
-    The target is held as Y = U diag(sigma) V^T with orthonormal U and V.
-    Given `factors` (what `make_mf` passes), the dense Y is formed only
-    when `y` is first read; a dense `y` given instead is kept and factored
-    here by one thin SVD.
-    """
-
-    def __init__(self, y: Optional[Array] = None,
-                 factors: Optional[tuple[Array, Array, Array]] = None):
-        if factors is None:
-            u, sigma, vt = np.linalg.svd(y, full_matrices=False)
-            factors = (u, sigma, vt.T)
-        self.u, self.sigma, self.v = (np.ascontiguousarray(x) for x in factors)
-        super().__init__("mf", self.u.shape[0], self.v.shape[0],
-                         lipschitz=1.0)
-        self._y = y
-
-    @property
-    def y(self) -> Array:
-        """The dense m x n target, formed from the factors on first read."""
-        if self._y is None:
-            self._y = (self.u * self.sigma) @ self.v.T
-        return self._y
+    def __init__(self, inst: MfInstance):
+        super().__init__(inst.u.shape[0], inst.v.shape[0], lipschitz=1.0)
+        self.inst = inst
 
     def loss(self, w: Array) -> float:
-        d = self.y - w
+        d = self.inst.y - w
         return float(0.5 * np.sum(d * d))
 
     def grad(self, w: Array) -> Array:
-        return w - self.y
+        return w - self.inst.y
 
     def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
                        ) -> tuple[float, GradientPair]:
@@ -160,7 +130,7 @@ class MatrixFactorizationProblem(Problem):
             g_b = scale (b (A^T A) - V (sigma * ca)).
         """
         a, b = f.a, scale * f.b
-        u, sigma, v = self.u, self.sigma, self.v
+        u, sigma, v = self.inst.u, self.inst.sigma, self.inst.v
         ca, cb = u.T @ a, v.T @ b
         a_perp, b_perp = a - u @ ca, b - v @ cb
         core = -(ca @ cb.T)
@@ -177,29 +147,27 @@ class MatrixFactorizationProblem(Problem):
 class LinearRegressionProblem(Problem):
     """loss(W) = 0.5 * ||Y - W X||_F^2 with exact Lipschitz ||X X^T||_2."""
 
-    def __init__(self, x: Array, y: Array):
-        n, k = x.shape
-        m = y.shape[0]
-        if y.shape[1] != k:
+    def __init__(self, inst: LinRegInstance):
+        x, y = inst.x, inst.y
+        if y.shape[1] != x.shape[1]:
             raise ValueError("X and Y sample counts differ")
-        xxt = x @ x.T
-        super().__init__("linreg", m, n, lipschitz=linalg.spectral_norm(xxt))
-        self.x = x
-        self.y = y
+        super().__init__(y.shape[0], x.shape[0],
+                         lipschitz=linalg.spectral_norm(x @ x.T))
+        self.inst = inst
 
     def loss(self, w: Array) -> float:
-        d = self.y - w @ self.x
+        d = self.inst.y - w @ self.inst.x
         return float(0.5 * np.sum(d * d))
 
     def grad(self, w: Array) -> Array:
-        return (w @ self.x - self.y) @ self.x.T
+        return (w @ self.inst.x - self.inst.y) @ self.inst.x.T
 
     def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
                        ) -> tuple[float, GradientPair]:
         """Through the m x k residual E = scale * A (B^T X) - Y: the loss
         is 0.5 ||E||^2, g_a = scale * E (X^T B) and g_b = scale * X (E^T A)."""
-        x = self.x
-        e = scale * (f.a @ (f.b.T @ x)) - self.y
+        x = self.inst.x
+        e = scale * (f.a @ (f.b.T @ x)) - self.inst.y
         loss = 0.5 * float(np.sum(e * e))
         return loss, GradientPair(scale * (e @ (x.T @ f.b)),
                                   scale * (x @ (e.T @ f.a)))
@@ -232,8 +200,8 @@ def make_mf(m: int, n: int, r: int, seed: int
     sigma = _top_singular_values(gen, max(m, n), min(m, n), r)
     u = _haar_frame(gen, m, r)
     v = _haar_frame(gen, n, r)
-    inst = MfInstance(u=u, sigma=sigma, v=v, m=m, n=n, r=r, seed=seed)
-    return MatrixFactorizationProblem(factors=(u, sigma, v)), inst
+    inst = MfInstance(u, sigma, v)
+    return MatrixFactorizationProblem(inst), inst
 
 
 def _top_singular_values(gen: np.random.Generator, p: int, q: int, r: int
@@ -289,8 +257,8 @@ def make_linreg(m: int, n: int, k: int, seed: int
     gen = rng.stream(seed, rng.STREAM_INSTANCE)
     x = gen.standard_normal((n, k))
     y = gen.standard_normal((m, k))
-    inst = LinRegInstance(x=x, y=y, m=m, n=n, k=k, seed=seed)
-    return LinearRegressionProblem(x, y), inst
+    inst = LinRegInstance(x, y)
+    return LinearRegressionProblem(inst), inst
 
 
 def init_factors(m: int, n: int, r: int, seed: int, sigma_a: float = 1.0,

@@ -65,9 +65,10 @@ class LowRankFactors:
     def unchecked(cls, a: Array, b: Array) -> "LowRankFactors":
         """Bypass construction validation.
 
-        Exists for the experiment harness, which must keep logging a
-        diverged trajectory whose entries are no longer finite. Everything
-        else should use the validating constructor.
+        Exists for the stepper's result and the experiment harness's raw-GD
+        fallback: both are arithmetic on a validated pair, and a diverged
+        trajectory whose entries are no longer finite must still be logged.
+        Everything else should use the validating constructor.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "a", _read_only(np.asarray(a, dtype=float)))

@@ -381,13 +381,12 @@ def test_criterion_13_gradient_correctness():
     g = gen(1013)
     h = 1e-6
     worst = 0.0
-    for problem, _ in (problems.make_mf(16, 12, 3, seed=43),
-                       problems.make_linreg(5, 4, 7, seed=43)):
+    for (problem, _), r in ((problems.make_mf(16, 12, 3, seed=43), 3),
+                            (problems.make_linreg(5, 4, 7, seed=43), 2)):
         for _ in range(50):
-            r = 3 if problem.name == "mf" else 2
             f = LowRankFactors(g.standard_normal((problem.m, r)),
                                g.standard_normal((problem.n, r)))
-            gp = problem.grad_pair(f)
+            gp = problem.value_and_grad(f)[1]
             # one random entry probe in each factor
             i, j = int(g.integers(problem.m)), int(g.integers(r))
             up, down = f.a.copy(), f.a.copy()

@@ -58,7 +58,7 @@ def test_probe_setup_first_instance(instance):
     assert isinstance(loss, float) and np.isfinite(loss) and loss > 0.0
     if instance[0] == "mf":
         # zero-init B: the loss is half the target's squared norm
-        assert loss == pytest.approx(0.5 * np.sum(problem.y ** 2), rel=1e-12)
+        assert loss == pytest.approx(0.5 * np.sum(problem.inst.y ** 2), rel=1e-12)
 
 
 def test_cli_main_returns_exit_code_and_writes_stdout():

@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from reflora import cli, problems, props
+from reflora import cli, problems, refactor
 
 
 def run_cli(args, capsys=None):
@@ -75,6 +76,21 @@ class TestMfSubcommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "step,loss" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "theorem-exact", "--lipschitz", "1e-200", "--m", "8",
+         "--n", "6", "--steps", "5"],
+        ["--method", "lora", "--eta", "1e308", "--sigma-b", "1", "--m", "12",
+         "--n", "10", "--steps", "3"],
+    ])
+    def test_overflowing_step_is_data(self, tmp_path, argv):
+        # a step that overflows before the divergence latch trips is
+        # recorded as a non-finite row, not an error
+        out = tmp_path / "trace.csv"
+        assert run_cli(["mf", "--rank", "2", *argv, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read_body(out).splitlines()[1:]]
+        assert np.isfinite(float(rows[0][1]))
+        assert not np.isfinite(float(rows[-1][1]))
 
 
 class TestRunFlags:
@@ -457,11 +473,18 @@ class TestPropsReport:
         assert "refactor.stationarity" in text
         assert "FAIL" not in text
 
-    def test_injected_fault_fails_stationarity(self, tmp_path):
+    def test_injected_fault_fails_stationarity(self, tmp_path, monkeypatch):
+        # a kernel that returns S^{-1} as S: S^{-1} is SPD too, so this
+        # verifies that the stationarity-type checks bite
+        def swap_s(k):
+            if not k.full_rank:
+                return k
+            return dataclasses.replace(k, s=k.s_inv, s_inv=k.s)
+
+        real = refactor.balance
+        monkeypatch.setattr(refactor, "balance", lambda f: swap_s(real(f)))
         out = tmp_path / "props.txt"
-        with props.inject_refactor_fault():
-            code = run_cli(["props-report", "--trials", "5",
-                            "--out", str(out)])
+        code = run_cli(["props-report", "--trials", "5", "--out", str(out)])
         assert code == 1
         line = next(l for l in out.read_text().splitlines()
                     if l.startswith("refactor.stationarity"))

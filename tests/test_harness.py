@@ -6,7 +6,9 @@ import pytest
 
 from reflora import harness, optim, problems, refactor
 from reflora.harness import BoundScanSpec, RunSpec
-from reflora.refactor import LowRankFactors
+from reflora.refactor import LowRankFactors, RefactorMode
+
+from test_problems import mf_instance
 
 
 def mf_spec(**kw):
@@ -27,11 +29,12 @@ class TestRun:
         assert not res.diverged
 
     def test_zero_target_flat_at_zero(self):
-        problem = problems.MatrixFactorizationProblem(np.zeros((6, 5)))
+        problem = problems.MatrixFactorizationProblem(
+            mf_instance(np.zeros((6, 5))))
         f = problems.init_factors(6, 5, 2, seed=1, sigma_a=0.0)
         cfg = optim.StepConfig(eta=0.1, method="lora")
         for _ in range(5):
-            f, _ = optim.reflora_step(f, problem.grad_pair(f), cfg)
+            f, _ = optim.reflora_step(f, problem.value_and_grad(f)[1], cfg)
             assert problem.loss_at_factors(f) == 0.0
 
     def test_reflora_loss_decreases_after_warmup(self):
@@ -46,6 +49,16 @@ class TestRun:
         assert res.diverged
         assert res.diverged_step is not None
         assert len(res.records) == 41  # keeps logging past divergence
+
+    def test_overflowing_step_is_divergence(self):
+        # L = 1e-200 makes the small-eta branch's s overflow at the first
+        # refactored step, before the loss has passed the divergence latch
+        mode = RefactorMode(kind="theorem-exact", lipschitz=1e-200)
+        res = harness.run(mf_spec(m=8, n=6, r=2, refactor_mode=mode,
+                                  iterations=5))
+        assert res.diverged and res.diverged_step == 2
+        assert len(res.records) == 6
+        assert not np.isfinite(res.records[-1].loss)
 
     @pytest.mark.parametrize("method", optim.METHODS)
     def test_balance_gap_is_raw_gram_gap(self, method):
@@ -127,12 +140,14 @@ class TestLoraAdam:
         f = problems.init_factors(12, 10, 3, seed=4)  # B = 0
         cfg = optim.StepConfig(eta=0.01, method="lora", optimizer=optim.ADAM)
         state = optim.OptimizerState.zeros(12, 10, 3)
-        f, state = optim.reflora_step(f, problem.grad_pair(f), cfg, state, 0)
+        gp = problem.value_and_grad(f)[1]
+        f, state = optim.reflora_step(f, gp, cfg, state, 0)
         assert state.step == 1
         col = g.standard_normal((10, 1))
         f = LowRankFactors(g.standard_normal((12, 3)),
                            np.hstack([col, col, col]))
-        f, state = optim.reflora_step(f, problem.grad_pair(f), cfg, state, 5)
+        gp = problem.value_and_grad(f)[1]
+        f, state = optim.reflora_step(f, gp, cfg, state, 5)
         assert state.step == 2
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -222,7 +237,7 @@ def _forbidden(*args, **kwargs):
 # every method/optimizer pair the CLI accepts
 CLI_PAIRS = ([(m, optim.GD) for m in optim.METHODS]
              + [(m, opt) for opt in (optim.ADAM, optim.ADAMW)
-                for m in (optim.METHOD_LORA_GD, optim.METHOD_REFLORA,
+                for m in (optim.METHOD_LORA, optim.METHOD_REFLORA,
                           optim.METHOD_REFLORA_S)])
 
 
@@ -244,14 +259,13 @@ class TestNoDenseWork:
                     problems.LinearRegressionProblem):
             monkeypatch.setattr(cls, "loss", _forbidden)
             monkeypatch.setattr(cls, "grad", _forbidden)
-        for cls in (problems.MfInstance, problems.MatrixFactorizationProblem):
-            monkeypatch.setattr(cls, "y", property(_forbidden))
+        monkeypatch.setattr(problems.MfInstance, "y", property(_forbidden))
 
     def test_guard_bites(self):
         problem, inst = problems.make_mf(6, 5, 2, seed=0)
         f = problems.init_factors(6, 5, 2, seed=0)
         for read in (lambda: problem.loss(f.a @ f.b.T), f.product,
-                     lambda: problem.y, lambda: inst.y):
+                     lambda: inst.y):
             with pytest.raises(DenseWork):
                 read()
 

@@ -62,7 +62,7 @@ def random_factors(g, m, n, r):
     return LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
 
 
-def gd_step(f, gp, eta, method=optim.METHOD_LORA_GD):
+def gd_step(f, gp, eta, method=optim.METHOD_LORA):
     """The pair after one GD step of `method`."""
     return optim.reflora_step(f, gp, StepConfig(eta=eta, method=method))[0]
 
@@ -395,7 +395,7 @@ class TestBalancePropagation:
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA)
         state = None
         for t in range(30):
-            gp = problem.grad_pair(f)
+            gp = problem.value_and_grad(f)[1]
             f, state = optim.reflora_step(f, gp, cfg, state, t=t)
             if t >= 1:
                 s = refactor.geometric_mean_s(f)

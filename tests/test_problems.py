@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,12 @@ def fd_grad_pair(problem, f, h=1e-6):
             down[i, j] -= h
             g_b[i, j] = (loss_of(f.a, up) - loss_of(f.a, down)) / (2 * h)
     return g_a, g_b
+
+
+def mf_instance(y):
+    """The MF instance of a dense target, factored by one thin SVD."""
+    u, sigma, vt = np.linalg.svd(y, full_matrices=False)
+    return problems.MfInstance(u, sigma, vt.T)
 
 
 def draw_bidiagonal(stream, p, q):
@@ -75,7 +82,8 @@ class TestMakeLinreg:
         assert np.linalg.norm(problem.grad(w_star)) <= 1e-9
 
     def test_identity_design_reduces_to_mf(self, rng):
-        problem = problems.LinearRegressionProblem(np.eye(3), np.zeros((4, 3)))
+        problem = problems.LinearRegressionProblem(
+            problems.LinRegInstance(np.eye(3), np.zeros((4, 3))))
         f = LowRankFactors(rng.standard_normal((4, 2)),
                            rng.standard_normal((3, 2)))
         assert problem.loss_at_factors(f) == pytest.approx(
@@ -106,7 +114,7 @@ class TestGradPair:
     def test_zero_b_structured(self, rng):
         problem, inst = problems.make_mf(9, 7, 2, seed=6)
         f = LowRankFactors(rng.standard_normal((9, 2)), np.zeros((7, 2)))
-        gp = problem.grad_pair(f)
+        gp = problem.value_and_grad(f)[1]
         assert np.linalg.norm(gp.g_a) == 0.0
         assert rel_err(gp.g_b, -inst.y.T @ f.a) < 1e-14
 
@@ -114,7 +122,7 @@ class TestGradPair:
         problem, inst = problems.make_mf(8, 6, 2, seed=7)
         u, s, vt = np.linalg.svd(inst.y, full_matrices=False)
         f = LowRankFactors(u[:, :2] * s[:2], vt[:2].T)
-        gp = problem.grad_pair(f)
+        gp = problem.value_and_grad(f)[1]
         assert np.linalg.norm(gp.g_a) <= 1e-10
         assert np.linalg.norm(gp.g_b) <= 1e-10
 
@@ -122,7 +130,7 @@ class TestGradPair:
         problem, _ = problems.make_mf(12, 9, 3, seed=8)
         f = LowRankFactors(rng.standard_normal((12, 3)),
                            rng.standard_normal((9, 3)))
-        gp = problem.grad_pair(f)
+        gp = problem.value_and_grad(f)[1]
         g = problem.grad(problem.full_weight(f))
         assert rel_err(gp.g_a, g @ f.b) < 1e-12
         assert rel_err(gp.g_b, g.T @ f.a) < 1e-12
@@ -132,7 +140,7 @@ class TestGradPair:
         problem, _ = problems.make_mf(6, 5, 2, seed=43)
         f = LowRankFactors(g.standard_normal((6, 2)),
                            g.standard_normal((5, 2)))
-        gp = problem.grad_pair(f)
+        gp = problem.value_and_grad(f)[1]
         fd_a, fd_b = fd_grad_pair(problem, f)
         assert np.max(np.abs(gp.g_a - fd_a) / np.maximum(1.0, np.abs(fd_a))) <= 1e-5
         assert np.max(np.abs(gp.g_b - fd_b) / np.maximum(1.0, np.abs(fd_b))) <= 1e-5
@@ -143,7 +151,7 @@ class TestGradPair:
         f = LowRankFactors(g.standard_normal((5, 2)),
                            g.standard_normal((4, 2)))
         scale = 0.25
-        gp = problem.grad_pair(f, scale=scale)
+        gp = problem.value_and_grad(f, scale)[1]
         h = 1e-6
         up, down = f.a.copy(), f.a.copy()
         up[0, 0] += h
@@ -210,10 +218,12 @@ class TestValueAndGrad:
     def cases():
         g = gen(45)
         mf, _ = problems.make_mf(14, 11, 3, seed=45)
-        wide = problems.MatrixFactorizationProblem(g.standard_normal((7, 12)))
-        tall = problems.MatrixFactorizationProblem(g.standard_normal((12, 7)))
+        wide = problems.MatrixFactorizationProblem(
+            mf_instance(g.standard_normal((7, 12))))
+        tall = problems.MatrixFactorizationProblem(
+            mf_instance(g.standard_normal((12, 7))))
         x, y = g.standard_normal((6, 9)), g.standard_normal((5, 9))
-        linreg = problems.LinearRegressionProblem(x, y)
+        linreg = problems.LinearRegressionProblem(problems.LinRegInstance(x, y))
         for problem, r in ((mf, 3), (wide, 2), (tall, 4), (linreg, 2)):
             for scale in (1.0, 0.3):
                 f = LowRankFactors(g.standard_normal((problem.m, r)),
@@ -235,9 +245,6 @@ class TestValueAndGrad:
         for problem, f, scale in self.cases():
             loss, gp = problem.value_and_grad(f, scale)
             assert problem.loss_at_factors(f, scale) == loss
-            pair = problem.grad_pair(f, scale)
-            assert np.array_equal(pair.g_a, gp.g_a)
-            assert np.array_equal(pair.g_b, gp.g_b)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_exact_fit(self, scale):
@@ -271,7 +278,7 @@ class TestValueAndGrad:
         # all of T = B^T B), then U_r and V_r as sign-fixed QR frames of the
         # next draws from the same stream
         for m, n in ((13, 9), (9, 13)):
-            problem, inst = problems.make_mf(m, n, 4, seed=47)
+            _, inst = problems.make_mf(m, n, 4, seed=47)
             stream = rng_stream(47, STREAM_INSTANCE)
             d, e = draw_bidiagonal(stream, max(m, n), min(m, n))
             t = (np.diag(d * d + np.r_[0.0, e * e])
@@ -282,18 +289,16 @@ class TestValueAndGrad:
                 q, r = np.linalg.qr(stream.standard_normal((dim, 4)))
                 frames.append(q * np.sign(np.diag(r)))
             u, v = frames
-            for obj in (problem, inst):
-                assert np.array_equal(obj.sigma, sigma)
-                assert np.array_equal(obj.u, u)
-                assert np.array_equal(obj.v, v)
+            assert np.array_equal(inst.sigma, sigma)
+            assert np.array_equal(inst.u, u)
+            assert np.array_equal(inst.v, v)
             assert np.array_equal(inst.y, (u * sigma) @ v.T)
-            assert np.array_equal(problem.y, inst.y)
             # the singular values of the full bidiagonal
             s = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)[:4]
-            assert np.max(np.abs(problem.sigma - s) / s) <= 1e-13
+            assert np.max(np.abs(inst.sigma - s) / s) <= 1e-13
             eye = np.eye(4)
-            assert np.max(np.abs(problem.u.T @ problem.u - eye)) <= 1e-14
-            assert np.max(np.abs(problem.v.T @ problem.v - eye)) <= 1e-14
+            assert np.max(np.abs(inst.u.T @ inst.u - eye)) <= 1e-14
+            assert np.max(np.abs(inst.v.T @ inst.v - eye)) <= 1e-14
 
     def test_make_mf_computes_no_singular_vectors(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -308,13 +313,25 @@ class TestValueAndGrad:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
-        problem, inst = problems.make_mf(1024, 1024, 8, seed=3)
+        _, inst = problems.make_mf(1024, 1024, 8, seed=3)
         assert inst.y.shape == (1024, 1024)
-        assert problem.u.shape == (1024, 8) and problem.v.shape == (1024, 8)
-        assert np.all(np.diff(problem.sigma) <= 0.0)
+        assert inst.u.shape == (1024, 8) and inst.v.shape == (1024, 8)
+        assert np.all(np.diff(inst.sigma) <= 0.0)
 
     def test_module_alias_removed(self):
         assert not hasattr(problems, "grad_pair")
+        assert not hasattr(problems.Problem, "grad_pair")
+
+    def test_instances_are_just_the_data(self):
+        fields = [f.name for f in dataclasses.fields(problems.MfInstance)]
+        assert fields == ["u", "sigma", "v"]
+        fields = [f.name for f in dataclasses.fields(problems.LinRegInstance)]
+        assert fields == ["x", "y"]
+
+    def test_problem_holds_its_instance(self):
+        for problem, inst in (problems.make_mf(9, 7, 2, seed=48),
+                              problems.make_linreg(4, 3, 5, seed=48)):
+            assert problem.inst is inst
 
 
 class TestTopSingularValues:
