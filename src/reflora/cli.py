@@ -32,10 +32,6 @@ class UsageError(Exception):
     """Bad flag or flag combination; maps to exit code 2."""
 
 
-LINREG_SIGMA_A = float(np.sqrt(10.0))
-LINREG_SIGMA_B = float(np.sqrt(0.1))
-
-
 class _Listed(list):
     """A comma-separated flag's items; prints as the text the user gave."""
 
@@ -87,7 +83,8 @@ _RUN_FLAGS = [
      _at_least(0)),
     ("steps", int, 2000, "iterations", _at_least(1)),
     ("log-every", int, 1, "record every k-th step", _at_least(1)),
-    ("weight-decay", float, 0.0, "adamw decoupled weight decay", _FINITE),
+    ("weight-decay", float, 0.0, "weight decay: L2 under adam, decoupled "
+     "under adamw; needs one of them", _FINITE),
     ("alpha", float, None,
      "adapter scale: increment enters as (alpha/rank) A B^T; "
      "unset means factor 1", _FINITE),
@@ -107,8 +104,10 @@ _LINREG_FLAGS = [
     ("n", int, 2, "input dimension", _at_least(1)),
     ("k", int, 2, "sample count", _at_least(1)),
     ("rank", int, 1, "factor rank", _at_least(1)),
-    ("sigma-a", float, LINREG_SIGMA_A, "stddev of the A init", _FINITE),
-    ("sigma-b", float, LINREG_SIGMA_B, "stddev of the B init", _FINITE),
+    ("sigma-a", float, harness.LINREG_SIGMA_A, "stddev of the A init",
+     _FINITE),
+    ("sigma-b", float, harness.LINREG_SIGMA_B, "stddev of the B init",
+     _FINITE),
 ]
 
 _FLAGS = {
@@ -212,6 +211,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     if hasattr(args, "mode"):
         if optim.METHOD_SCALEDGD in methods and args.optimizer != optim.GD:
             raise UsageError("--optimizer: scaledgd is a plain-GD baseline")
+        if args.weight_decay != 0.0 and args.optimizer == optim.GD:
+            raise UsageError("--weight-decay: needs --optimizer adam or adamw")
         if args.mode == refactor.THEOREM_EXACT and \
                 args.lipschitz is not None and not 0 < args.lipschitz < math.inf:
             raise UsageError("--lipschitz: theorem-exact mode needs a finite "

@@ -22,30 +22,30 @@ from .refactor import LowRankFactors, RefactorMode
 
 DIVERGENCE_FACTOR = 1e6
 
+# default init scales of the linreg runs and the bound scan
+LINREG_SIGMA_A = float(np.sqrt(10.0))
+LINREG_SIGMA_B = float(np.sqrt(0.1))
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything needed to reproduce one optimization run."""
+
+@dataclass(frozen=True, kw_only=True)
+class RunSpec(StepConfig):
+    """Everything needed to reproduce one optimization run: the step rule
+    (the StepConfig fields), the instance, the init and the loop."""
 
     problem: str                  # "mf" or "linreg"
     m: int
     n: int
     r: int
     seed: int
-    eta: float
-    method: str = optim.METHOD_LORA
-    optimizer: str = optim.GD
-    refactor_mode: RefactorMode = RefactorMode()
-    warmup_steps: int = 1
     iterations: int = 2000
     log_every: int = 1
     k: int = 0                    # linreg sample count
     sigma_a: float = 1.0
     sigma_b: float = 0.0
-    weight_decay: float = 0.0
     alpha: Optional[float] = None  # adapter scale: W = (alpha/r) A B^T
 
     def __post_init__(self):
+        super().__post_init__()
         if self.problem not in ("mf", "linreg"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.iterations < 1 or self.log_every < 1:
@@ -114,8 +114,9 @@ def balance_gap(f: LowRankFactors) -> float:
 
 
 def _all_finite(gp: GradientPair, loss: float) -> bool:
-    # the factors need no check: until `run` latches to unchecked stepping
-    # they come from the validating constructor (init_factors or a stepper)
+    # the factors need no check: every product the loss takes of them turns
+    # an inf entry into +-inf or nan, so a non-finite factor makes the loss
+    # non-finite and this check latches on it first
     return bool(np.isfinite(loss)
                 and np.all(np.isfinite(gp.g_a)) and np.all(np.isfinite(gp.g_b)))
 
@@ -136,13 +137,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
     scale = 1.0 if spec.alpha is None else spec.alpha / spec.r
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
-    cfg = StepConfig(eta=spec.eta, method=spec.method, optimizer=spec.optimizer,
-                     refactor_mode=spec.refactor_mode,
-                     warmup_steps=spec.warmup_steps)
     state: Optional[OptimizerState] = None
-    if spec.optimizer in (optim.ADAM, optim.ADAMW):
-        state = OptimizerState.zeros(spec.m, spec.n, spec.r,
-                                     weight_decay=spec.weight_decay)
 
     records: list[TraceRecord] = []
     diverged = False
@@ -172,7 +167,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             unchecked = unchecked or not _all_finite(gp, loss)
             if not unchecked:
                 try:
-                    f, state = optim.reflora_step(f, gp, cfg, state, t)
+                    f, state = optim.reflora_step(f, gp, spec, state, t)
                 except (RefloraError, ValueError, np.linalg.LinAlgError):
                     if not diverged:
                         raise
@@ -180,8 +175,8 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             if unchecked:
                 # past representable divergence: keep the trace alive with
                 # raw GD arithmetic, which propagates inf/nan harmlessly
-                f = LowRankFactors.unchecked(f.a - cfg.eta * gp.g_a,
-                                             f.b - cfg.eta * gp.g_b)
+                f = LowRankFactors.unchecked(f.a - spec.eta * gp.g_a,
+                                             f.b - spec.eta * gp.g_b)
             last_step_ns = time.perf_counter_ns() - t0
             loss, gp = problem.value_and_grad(f, scale)
             if not diverged and (not np.isfinite(loss)
@@ -214,8 +209,8 @@ class BoundScanSpec:
     eta_min: float = -0.5
     eta_max: float = 0.5
     points: int = 201
-    sigma_a: float = np.sqrt(10.0)
-    sigma_b: float = np.sqrt(0.1)
+    sigma_a: float = LINREG_SIGMA_A
+    sigma_b: float = LINREG_SIGMA_B
     root: str = refactor.ROOT_PLUS
 
     def __post_init__(self):
@@ -374,11 +369,12 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
     """Median per-step wall time by method on synthetic square problems.
 
     Gradient pairs are synthetic, so only stepper arithmetic is timed and
-    no m x n matrix is ever formed. The refactor-phase column isolates the
-    per-step scale computation (the balanced matrix for the full method,
-    the norm ratio for the scalar one, the refactor kernel that yields the
-    Gram inverses for ScaledGD). Every timed call of a refactoring
-    method runs the kernel once, as a step does.
+    no m x n matrix is ever formed. The refactor-phase column times the
+    method's `optim.METHODS` entry under the stepper's own config: the
+    preconditioner a step computes (S and S^-1 for the full method, the
+    scalar s, the Gram inverses for ScaledGD; for `lora` the entry's
+    constant return, a fraction of a microsecond). Every timed call of a
+    refactoring method runs the kernel once, as a step does.
     """
     if repeats < 10:
         raise ValueError("repeats must be at least 10")
@@ -390,26 +386,15 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
                                gen.standard_normal((d, r)))
             gp = GradientPair(gen.standard_normal((d, r)),
                               gen.standard_normal((d, r)))
-            eta = 1e-3
-            steppers = {
-                name: lambda p, cfg=StepConfig(eta=eta, method=name):
-                    optim.reflora_step(p, gp, cfg)
-                for name in optim.METHODS
-            }
-            phases = {
-                optim.METHOD_LORA: None,
-                optim.METHOD_REFLORA: refactor.geometric_mean_s,
-                optim.METHOD_REFLORA_S: lambda p: refactor.optimal_scalar(
-                    p, eta, RefactorMode()),
-                optim.METHOD_SCALEDGD: refactor.balance,
-            }
-            medians = {name: _median_time_ns(fn, f, repeats)
-                       for name, fn in steppers.items()}
+            cfgs = {name: StepConfig(eta=1e-3, method=name)
+                    for name in optim.METHODS}
+            medians = {name: _median_time_ns(
+                lambda p: optim.reflora_step(p, gp, cfg), f, repeats)
+                for name, cfg in cfgs.items()}
             base = medians[optim.METHOD_LORA]
-            for name in optim.METHODS:
-                phase_fn = phases[name]
-                phase = (_median_time_ns(phase_fn, f, repeats)
-                         if phase_fn else 0.0)
+            for name, cfg in cfgs.items():
+                phase = _median_time_ns(lambda p: optim.METHODS[name](p, cfg),
+                                        f, repeats)
                 rows.append(OverheadRow(
                     m=d, n=d, r=r, method=name,
                     median_step_ns=medians[name],

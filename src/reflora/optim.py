@@ -13,7 +13,7 @@ one r x r SVD), so their per-step overhead is O((m + n + r) r^2); the
 scalar variant costs O((m + n) r). Each step runs the kernel once, and
 its result serves both the preconditioner and the warmup check; the
 harness's trace snapshot runs no kernel. All transitions are pure: state
-in, state out.
+in, state out; under Adam/AdamW a missing state is zero moments.
 """
 
 import dataclasses
@@ -66,6 +66,7 @@ class StepConfig:
     optimizer: str = GD
     refactor_mode: RefactorMode = RefactorMode()
     warmup_steps: int = 1
+    weight_decay: float = 0.0  # L2 under adam, decoupled under adamw
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
@@ -76,6 +77,10 @@ class StepConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be nonnegative")
+        if not np.isfinite(self.weight_decay):
+            raise ValueError("weight_decay must be finite")
+        if self.weight_decay != 0.0 and self.optimizer == GD:
+            raise ValueError("weight_decay needs optimizer adam or adamw")
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,11 @@ class OptimizerState:
     m_b: Array
     v_b: Array
     step: int = 0
-    weight_decay: float = 0.0
 
     @classmethod
-    def zeros(cls, m: int, n: int, r: int, **hyper) -> "OptimizerState":
+    def zeros(cls, m: int, n: int, r: int) -> "OptimizerState":
         return cls(m_a=np.zeros((m, r)), v_a=np.zeros((m, r)),
-                   m_b=np.zeros((n, r)), v_b=np.zeros((n, r)), **hyper)
+                   m_b=np.zeros((n, r)), v_b=np.zeros((n, r)))
 
 
 def adam_update(param: Array, grad: Array, m: Array, v: Array, step: int,
@@ -172,7 +176,7 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     with no second refactoring. The update rule is then GD, or Adam/AdamW
     (`adam_update`) on the original axes, except that under `reflora-s`
     the A-moments are rescaled by 1/sqrt(s) and 1/s and the B-moments by
-    sqrt(s) and s.
+    sqrt(s) and s. Without a `state`, Adam starts from zero moments.
 
     A pair the method cannot precondition (RankDeficient; ZeroFactor for
     `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
@@ -202,7 +206,7 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
         return LowRankFactors.unchecked(rs * f.a - (cfg.eta / rs) * g_a,
                                         f.b / rs - (cfg.eta * rs) * g_b), state
     if state is None:
-        raise ValueError("adaptive optimizer needs an OptimizerState")
+        state = OptimizerState.zeros(f.m, f.n, f.r)
     a, b = f.a, f.b
     if s != 1.0:
         a, b, g_a, g_b = rs * a, b / rs, g_a / rs, rs * g_b
@@ -213,10 +217,10 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     decoupled = optimizer == ADAMW
     a, m_a, v_a = adam_update(a, g_a, state.m_a, state.v_a, step, cfg.eta,
                               ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                              state.weight_decay, decoupled)
+                              cfg.weight_decay, decoupled)
     b, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step, cfg.eta,
                               ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                              state.weight_decay, decoupled)
+                              cfg.weight_decay, decoupled)
     return LowRankFactors.unchecked(a, b), dataclasses.replace(
         state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b, step=step)
 

@@ -110,6 +110,8 @@ class TestRunFlags:
          "--weight-decay"),
         (["mf", "--seed", "-1"], "--seed"),
         (["mf", "--alpha", "nan"], "--alpha"),
+        (["mf", "--weight-decay", "0.5"], "--weight-decay"),  # under gd
+        (["compare", "--weight-decay", "0.5"], "--weight-decay"),
     ])
     def test_usage_error(self, capsys, argv, flag):
         assert run_cli(argv + ["--steps", "3", "--m", "8", "--n", "6"]) == 2
@@ -306,6 +308,15 @@ class TestConfigFile:
         config.write_text("stepz = 10\n")
         assert run_cli(["mf", "--config", str(config)]) == 2
         assert "stepz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mf", "compare"])
+    def test_config_weight_decay_needs_adaptive_optimizer(self, tmp_path,
+                                                          capsys, command):
+        config = tmp_path / "wd.cfg"
+        config.write_text("weight-decay = 0.5\nsteps = 3\n")
+        assert run_cli([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "reflora: error: --weight-decay: needs --optimizer adam or adamw")
 
     @pytest.mark.parametrize("command,key,value", [("mf", "steps", "abc"),
                                                    ("mf", "eta", "fast"),

@@ -133,6 +133,40 @@ class TestRun:
         assert scaled.final_loss < scaled.initial_loss
 
 
+class TestRunSpec:
+    """A run spec is a StepConfig plus the instance, init and loop fields."""
+
+    @pytest.mark.parametrize("step", [
+        {"eta": 0.0}, {"method": "bogus"}, {"optimizer": "rmsprop"},
+        {"weight_decay": 0.5},  # under the default gd
+    ])
+    def test_step_fields_checked_on_build(self, step):
+        with pytest.raises(ValueError):
+            RunSpec(**{"problem": "mf", "m": 8, "n": 6, "r": 2, "seed": 0,
+                       "eta": 0.01, **step})
+
+    def test_is_a_step_config(self):
+        assert issubclass(RunSpec, optim.StepConfig)
+        step_fields = {f.name for f in dataclasses.fields(optim.StepConfig)}
+        assert not step_fields & set(RunSpec.__annotations__)
+        spec = RunSpec(problem="mf", m=8, n=6, r=2, seed=0, eta=0.01)
+        assert spec.method == optim.StepConfig(eta=0.01).method == "reflora"
+
+    @pytest.mark.parametrize("optimizer", [optim.GD, optim.ADAMW])
+    def test_run_steps_with_the_spec(self, monkeypatch, optimizer):
+        seen = []
+        step = optim.reflora_step
+
+        def recording(f, gp, cfg, *args):
+            seen.append(cfg)
+            return step(f, gp, cfg, *args)
+
+        monkeypatch.setattr(optim, "reflora_step", recording)
+        spec = mf_spec(optimizer=optimizer, iterations=5)
+        harness.run(spec)
+        assert len(seen) == 5 and all(cfg is spec for cfg in seen)
+
+
 class TestLoraAdam:
     def test_adam_from_step_zero_without_rank_guard(self):
         g = np.random.Generator(np.random.Philox(44))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -465,6 +467,37 @@ class TestStepConfig:
             StepConfig(eta=0.1, method="sgd")
         with pytest.raises(ValueError):
             StepConfig(eta=0.1, optimizer="rmsprop")
+
+    @pytest.mark.parametrize("optimizer,weight_decay", [
+        (optim.GD, 0.5), (optim.ADAM, float("nan")), (optim.ADAMW, float("inf")),
+    ])
+    def test_weight_decay_validation(self, optimizer, weight_decay):
+        # decay is part of the Adam/AdamW update; under GD it would be
+        # silently dropped
+        with pytest.raises(ValueError, match="weight_decay"):
+            StepConfig(eta=0.1, optimizer=optimizer, weight_decay=weight_decay)
+
+    def test_weight_decay_is_a_step_parameter(self):
+        assert "weight_decay" not in [
+            f.name for f in dataclasses.fields(OptimizerState)]
+        assert StepConfig(eta=0.1, optimizer=optim.ADAM,
+                          weight_decay=-0.1).weight_decay == -0.1
+
+    @pytest.mark.parametrize("method", [optim.METHOD_LORA, optim.METHOD_REFLORA,
+                                        optim.METHOD_REFLORA_S])
+    @pytest.mark.parametrize("optimizer", [optim.ADAM, optim.ADAMW])
+    def test_missing_state_is_zero_moments(self, rng, method, optimizer):
+        f = random_factors(rng, 6, 5, 2)
+        gp = pair_from_dense(f, rng.standard_normal((6, 5)))
+        cfg = StepConfig(eta=0.01, method=method, optimizer=optimizer,
+                         weight_decay=0.1)
+        got = optim.reflora_step(f, gp, cfg, None)
+        want = optim.reflora_step(f, gp, cfg, OptimizerState.zeros(6, 5, 2))
+        for x, y in ((got[0].a, want[0].a), (got[0].b, want[0].b),
+                     (got[1].m_a, want[1].m_a), (got[1].v_a, want[1].v_a),
+                     (got[1].m_b, want[1].m_b), (got[1].v_b, want[1].v_b)):
+            assert np.array_equal(x, y)
+        assert got[1].step == want[1].step == 1
 
     def test_state_nonnegative_second_moments(self, rng):
         f = random_factors(rng, 4, 3, 2)
