@@ -330,7 +330,7 @@ def _cmd_bound_scan(args) -> int:
         m=args.m, n=args.n, k=args.k, r=args.rank, seed=args.seed,
         eta_min=args.eta_min, eta_max=args.eta_max, points=args.points,
         sigma_a=args.sigma_a, sigma_b=args.sigma_b, root=args.root)
-    columns = ("eta", "mode", "true_loss", "upper_bound")
+    columns = harness.BOUND_SCAN_COLUMNS
     _write_csv(args, columns, harness.cells(harness.bound_scan(spec), columns))
     return 0
 

@@ -26,6 +26,9 @@ DIVERGENCE_FACTOR = 1e6
 LINREG_SIGMA_A = float(np.sqrt(10.0))
 LINREG_SIGMA_B = float(np.sqrt(0.1))
 
+# entries of the stacked residual in one block of the bound scan's loss
+SCAN_BLOCK_ENTRIES = 2 ** 18
+
 
 @dataclass(frozen=True, kw_only=True)
 class RunSpec(StepConfig):
@@ -222,11 +225,17 @@ class BoundScanSpec:
 
 @dataclass(frozen=True)
 class BoundScanRow:
+    """One bound-scan row; its fields, in order, are the bound-scan CSV
+    columns."""
+
     eta: float
     mode: str
     true_loss: float
     upper_bound: float
     remainder: float  # exact value of the cubic term omitted from the bound
+
+
+BOUND_SCAN_COLUMNS = tuple(f.name for f in fields(BoundScanRow))
 
 
 def eta_grid(spec: BoundScanSpec) -> Array:
@@ -237,19 +246,38 @@ def eta_grid(spec: BoundScanSpec) -> Array:
 def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
     """One refactored step per (eta, mode), with the exact loss and bound.
 
-    The bound's S-independent constants are evaluated in closed form for
-    the quadratic loss: with G the dense gradient at the current point and
-    R = G B A^T G,
+    Rows come per eta, `identity` (S = I) then `theorem-exact` (the bound
+    minimizer). With G the dense gradient at the current point and
+    R = G B A^T G, the bound's S-independent constants are, in closed form
+    for the quadratic loss,
 
-        const(eta) = loss_now + eta^2 <G, R> + (L eta^4 / 2) ||R||_F^2
-                     - ||G||_F^2 / L + (m + n - 1) ||G||_2^2 / (2 L).
+        const(eta) = c0 + c2 eta^2 + c4 eta^4,
+        c0 = loss_now - ||G||_F^2 / L + (m + n - 1) ||G||_2^2 / (2 L),
+        c2 = <G, R>,  c4 = (L / 2) ||R||_F^2.
 
     The emitted upper bound is the truncated bound plus const(eta); the
-    exact cubic term -L eta^3 <A S A^T G + G B S^{-1} B^T, R>, dropped by
-    the truncation, is reported per row so bound-vs-loss checks can add it
-    back.
+    exact cubic term it drops, -L eta^3 <A S A^T G + G B S^{-1} B^T, R>, is
+    reported per row so bound-vs-loss checks can add it back.
+
+    Each mode's S is gamma(eta) S0 on a fixed S0: S0 = I with gamma = 1,
+    or the balanced S with `refactor._bound_scaling`'s gamma, one scalar
+    call per eta. So every per-row quantity is scalar arithmetic on terms
+    computed once per mode:
+
+        g(gamma S0) = gamma tr(A^T A S0) + tr(B^T B S0^{-1}) / gamma,
+        remainder   = -L eta^3 (gamma rho_a + rho_b / gamma),
+                      rho_a = <A S0 A^T G, R>,  rho_b = <G B S0^{-1} B^T, R>,
+        A' = A - (eta / gamma) P_a,  P_a = G B S0^{-1},
+        B' = B - eta gamma P_b,      P_b = G^T A S0.
+
+    The exact loss 0.5 ||Y - A' (B'^T X)||_F^2 is evaluated for a block of
+    etas at once, with blocks sized so each stacked m x k residual holds
+    about SCAN_BLOCK_ENTRIES entries; no m x n product is stacked. The
+    kernel runs once, and the count of decompositions does not depend on
+    the grid. `refactor.g_objective` and `upper_bound_eval` remain the
+    per-point reference.
     """
-    problem, _ = problems.make_linreg(spec.m, spec.n, spec.k, spec.seed)
+    problem, inst = problems.make_linreg(spec.m, spec.n, spec.k, spec.seed)
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
     lip = problem.lipschitz
@@ -260,34 +288,60 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
     g_fro2 = float(np.sum(g * g))
     r_term = g @ f.b @ (f.a.T @ g)
     # one kernel run serves every eta: the pair does not change
-    kernel = refactor.balance(f)
+    kernel = refactor.balance(f).require_full_rank()
     mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
 
+    etas = eta_grid(spec)
+    # summed in the order of the per-point evaluation
+    const = (loss_now
+             + etas ** 2 * float(np.sum(g * r_term))
+             + 0.5 * lip * etas ** 4 * float(np.sum(r_term * r_term))
+             - g_fro2 / lip
+             + (spec.m + spec.n - 1) * g_spec ** 2 / (2.0 * lip))
+    gb, ga = g @ f.b, g.T @ f.a
+    rb, ra = r_term @ f.b, r_term.T @ f.a
+    columns = []
+    for gamma, s, s_inv in (
+            (np.ones_like(etas), np.eye(spec.r), np.eye(spec.r)),
+            (np.array([refactor._bound_scaling(kernel.c_tilde, eta, mode)[0]
+                       for eta in etas.tolist()]), kernel.s, kernel.s_inv)):
+        t_a, t_b = refactor._g_terms(f, s)
+        quad = gamma * t_a + t_b / gamma - 1.0 / (lip * etas)
+        bound = 0.5 * lip * etas * etas * g_spec ** 2 * quad * quad + const
+        p_a, p_b = gb @ s_inv, ga @ s
+        # rho_a = <P_b, R^T A> and rho_b = <P_a, R B>: no m x n product
+        rho_a, rho_b = float(np.sum(p_b * ra)), float(np.sum(p_a * rb))
+        remainder = -lip * etas ** 3 * (gamma * rho_a + rho_b / gamma)
+        true_loss = _stacked_loss(inst, f, etas / gamma, p_a,
+                                  etas * gamma, p_b)
+        columns.append((true_loss.tolist(), bound.tolist(),
+                        remainder.tolist()))
+
     rows: list[BoundScanRow] = []
-    for eta in eta_grid(spec):
-        const = (loss_now
-                 + eta ** 2 * float(np.sum(g * r_term))
-                 + 0.5 * lip * eta ** 4 * float(np.sum(r_term * r_term))
-                 - g_fro2 / lip
-                 + (spec.m + spec.n - 1) * g_spec ** 2 / (2.0 * lip))
-        for mode_name in ("identity", "theorem-exact"):
-            if mode_name == "identity":
-                s = s_inv = np.eye(spec.r)
-            else:
-                res = refactor.optimal_s(kernel, float(eta), mode)
-                s, s_inv = res.s_matrix, res.s_inverse
-            # preconditioned step, then the exact loss at the new factors
-            a_new = f.a - eta * (g @ f.b) @ s_inv
-            b_new = f.b - eta * (g.T @ f.a) @ s
-            true_loss = problem.loss(a_new @ b_new.T)
-            bound = refactor.upper_bound_eval(f, s, float(eta), lip, g_spec,
-                                              const)
-            m_term = f.a @ s @ (f.a.T @ g) + g @ f.b @ s_inv @ f.b.T
-            remainder = -lip * eta ** 3 * float(np.sum(m_term * r_term))
-            rows.append(BoundScanRow(eta=float(eta), mode=mode_name,
-                                     true_loss=true_loss, upper_bound=bound,
-                                     remainder=remainder))
+    for i, eta in enumerate(etas.tolist()):
+        for name, (true_loss, bound, remainder) in zip(
+                ("identity", "theorem-exact"), columns):
+            rows.append(BoundScanRow(eta=eta, mode=name,
+                                     true_loss=true_loss[i],
+                                     upper_bound=bound[i],
+                                     remainder=remainder[i]))
     return rows
+
+
+def _stacked_loss(inst: problems.LinRegInstance, f: LowRankFactors,
+                  wa: Array, p_a: Array, wb: Array, p_b: Array) -> Array:
+    """0.5 ||Y - A_i (B_i^T X)||_F^2 for each A_i = A - wa[i] P_a and
+    B_i = B - wb[i] P_b, in blocks of SCAN_BLOCK_ENTRIES residual entries."""
+    x, y = inst.x, inst.y
+    per_block = max(1, SCAN_BLOCK_ENTRIES // y.size)
+    out = np.empty(len(wa))
+    for lo in range(0, len(wa), per_block):
+        sl = slice(lo, lo + per_block)
+        a = f.a - wa[sl, None, None] * p_a
+        bt_x = (f.b - wb[sl, None, None] * p_b).transpose(0, 2, 1) @ x
+        e = y - a @ bt_x
+        out[sl] = 0.5 * np.sum(e * e, axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

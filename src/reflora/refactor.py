@@ -324,10 +324,21 @@ def geometric_mean_s(f: LowRankFactors) -> Array:
 def g_objective(f: LowRankFactors, s: Array) -> float:
     """Bound objective g(S) = ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2.
 
-    Evaluated through traces, tr(A^T A S) + tr(B^T B S^{-1}), the second
-    from the Cholesky factor of S, so no matrix root is formed; a non-SPD
-    S raises NonSpdInput. Always at least twice the nuclear norm of
-    A @ B.T, with equality exactly at the geometric mean.
+    Evaluated through traces, tr(A^T A S) + tr(B^T B S^{-1}) (see
+    `_g_terms`), so no matrix root is formed; a non-SPD S raises
+    NonSpdInput. Always at least twice the nuclear norm of A @ B.T, with
+    equality exactly at the geometric mean.
+    """
+    t_a, t_b = _g_terms(f, s)
+    return t_a + t_b
+
+
+def _g_terms(f: LowRankFactors, s: Array) -> tuple[float, float]:
+    """The two terms of g(S): tr(A^T A S) and tr(B^T B S^{-1}).
+
+    The second comes from the Cholesky factor of S. Since
+    g(gamma S) = gamma tr(A^T A S) + tr(B^T B S^{-1}) / gamma, one call
+    gives g along the whole ray gamma S. A non-SPD S raises NonSpdInput.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (f.r, f.r):
@@ -339,7 +350,7 @@ def g_objective(f: LowRankFactors, s: Array) -> float:
     except np.linalg.LinAlgError:
         raise NonSpdInput("S is not positive definite") from None
     # tr(B^T B S^{-1}) = ||L^{-1} B^T||_F^2 for S = L L^T
-    return float(np.sum(gram(f.a) * s) + np.sum((l_inv @ f.b.T) ** 2))
+    return float(np.sum(gram(f.a) * s)), float(np.sum((l_inv @ f.b.T) ** 2))
 
 
 def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, str]:

@@ -371,8 +371,14 @@ class TestBoundScanSubcommand:
                         "--points", "101", "--out", str(out)])
         assert code == 0
         body = read_body(out).splitlines()
-        assert body[0] == "eta,mode,true_loss,upper_bound"
+        assert body[0] == "eta,mode,true_loss,upper_bound,remainder"
         rows = [line.split(",") for line in body[1:]]
+        # the CSV certifies itself: the truncated bound plus the cubic
+        # remainder dominates the exact loss on every row
+        for r in rows:
+            true_loss, bound, remainder = map(float, r[2:])
+            certified = bound + remainder
+            assert true_loss <= certified + 1e-9 * max(1.0, abs(certified))
         etas = {float(r[0]) for r in rows}
         assert 0.0 not in etas
         assert len(rows) == 200  # 100 nonzero etas x 2 modes

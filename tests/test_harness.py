@@ -1,10 +1,12 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reflora import harness, optim, problems, refactor
+from reflora.errors import RankDeficient
 from reflora.harness import BoundScanSpec, RunSpec
 from reflora.refactor import LowRankFactors, RefactorMode
 
@@ -381,6 +383,103 @@ class TestBoundScan:
         buf = io.StringIO()
         harness.write_csv(buf, columns, harness.cells(rows, columns))
         assert buf.getvalue().splitlines()[0] == "eta,mode,true_loss,upper_bound"
+
+
+def reference_scan(spec):
+    """The bound scan row by row: `optimal_s`, a direct preconditioned step,
+    the dense `problem.loss` and `upper_bound_eval` at each (eta, mode)."""
+    problem, _ = problems.make_linreg(spec.m, spec.n, spec.k, spec.seed)
+    f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
+                              spec.sigma_a, spec.sigma_b)
+    lip = problem.lipschitz
+    w0 = problem.full_weight(f)
+    g = problem.grad(w0)
+    g_spec = float(np.linalg.svd(g, compute_uv=False)[0])
+    r_term = g @ f.b @ (f.a.T @ g)
+    kernel = refactor.balance(f)
+    mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
+    rows = []
+    for eta in harness.eta_grid(spec).tolist():
+        const = (problem.loss(w0) + eta ** 2 * np.sum(g * r_term)
+                 + 0.5 * lip * eta ** 4 * np.sum(r_term * r_term)
+                 - np.sum(g * g) / lip
+                 + (spec.m + spec.n - 1) * g_spec ** 2 / (2.0 * lip))
+        for name in ("identity", "theorem-exact"):
+            if name == "identity":
+                s = s_inv = np.eye(spec.r)
+            else:
+                res = refactor.optimal_s(kernel, eta, mode)
+                s, s_inv = res.s_matrix, res.s_inverse
+            a_new = f.a - eta * (g @ f.b) @ s_inv
+            b_new = f.b - eta * (g.T @ f.a) @ s
+            m_term = f.a @ s @ (f.a.T @ g) + g @ f.b @ s_inv @ f.b.T
+            rows.append((eta, name, problem.loss(a_new @ b_new.T),
+                         refactor.upper_bound_eval(f, s, eta, lip, g_spec,
+                                                   float(const)),
+                         -lip * eta ** 3 * float(np.sum(m_term * r_term))))
+    return rows, 1.0 / (kernel.c_tilde * lip)
+
+
+class TestBoundScanClosedForm:
+    """The scan's array arithmetic against the per-point dense reference."""
+
+    @pytest.mark.parametrize("root", refactor.ROOTS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_the_per_point_reference(self, seed, root):
+        spec = BoundScanSpec(seed=seed, root=root)
+        _, threshold = reference_scan(spec)
+        # the default grid, and one straddling the small-eta threshold
+        # 1 / (c_tilde L) from below zero
+        for grid in (spec, dataclasses.replace(
+                spec, eta_min=-0.5 * threshold, eta_max=2.0 * threshold,
+                points=61)):
+            ref, _ = reference_scan(grid)
+            rows = harness.bound_scan(grid)
+            assert any(0.0 < r[0] < threshold for r in ref)
+            assert any(r[0] > threshold for r in ref)
+            assert any(r[0] < 0.0 for r in ref)
+            assert [(f"{r.eta:.17g}", r.mode) for r in rows] == \
+                [(f"{eta:.17g}", mode) for eta, mode, *_ in ref]
+            for col, name in enumerate(("true_loss", "upper_bound",
+                                        "remainder"), start=2):
+                want = np.array([r[col] for r in ref])
+                got = np.array([getattr(r, name) for r in rows])
+                tol = np.maximum(1e-12 * np.abs(want),
+                                 1e-14 * np.max(np.abs(want)))
+                assert np.all(np.abs(got - want) <= tol), name
+
+    def test_decompositions_do_not_grow_with_the_grid(self, monkeypatch):
+        counts = {}
+        for name in ("cholesky", "inv", "svd", "eigh"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_points = []
+        for points in (11, 2001):
+            counts.clear()
+            harness.bound_scan(BoundScanSpec(points=points, seed=0))
+            per_points.append(dict(counts))
+        assert per_points[0]["cholesky"] >= 1
+        assert per_points[0] == per_points[1]
+
+    @pytest.mark.parametrize("points", [51, 201])
+    def test_peak_allocation_at_512(self, points):
+        # the stacked loss goes in blocks of ~2^18 residual entries, one eta
+        # per block at m = k = 512; the per-row scan peaked at 18.1 MB here
+        spec = BoundScanSpec(m=512, n=512, k=512, r=4, points=points)
+        tracemalloc.start()
+        try:
+            harness.bound_scan(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * 2 ** 20
+
+    def test_deficient_pair_raises(self):
+        with pytest.raises(RankDeficient):
+            harness.bound_scan(BoundScanSpec(points=11, sigma_b=0.0))
 
 
 class TestOverheadProbe:
