@@ -312,16 +312,16 @@ def _run_specs(args, problem_kind: str, methods: Sequence[str],
     return problem, specs
 
 
-def _write_csv(args, columns: Sequence[str], rows) -> None:
+def _write_csv(args, columns: dict[str, type], data: list) -> None:
     with _open_out(args.out) as out:
-        harness.write_csv(out, columns, rows, _header_lines(args))
+        harness.write_csv(out, columns, data, _header_lines(args))
 
 
 def _cmd_run(args) -> int:
     problem, (spec,) = _run_specs(args, args.command, [args.method], [args.eta])
     records = harness.run(spec, problem).records
     _write_csv(args, harness.TRACE_COLUMNS,
-               harness.cells(records, harness.TRACE_COLUMNS))
+               harness.columns_of(records, harness.TRACE_COLUMNS))
     return 0
 
 
@@ -330,23 +330,24 @@ def _cmd_bound_scan(args) -> int:
         m=args.m, n=args.n, k=args.k, r=args.rank, seed=args.seed,
         eta_min=args.eta_min, eta_max=args.eta_max, points=args.points,
         sigma_a=args.sigma_a, sigma_b=args.sigma_b, root=args.root)
-    columns = harness.BOUND_SCAN_COLUMNS
-    _write_csv(args, columns, harness.cells(harness.bound_scan(spec), columns))
+    scan = harness.bound_scan(spec)
+    _write_csv(args, harness.BOUND_SCAN_COLUMNS,
+               [getattr(scan, c) for c in harness.BOUND_SCAN_COLUMNS])
     return 0
 
 
 def _cmd_compare(args) -> int:
     problem, specs = _run_specs(args, args.problem, args.methods, args.etas)
     table = harness.compare(specs, problem=problem)
-    _write_csv(args, table.columns, table.rows)
+    _write_csv(args, table.columns, table.data)
     return 0
 
 
 def _cmd_overhead(args) -> int:
-    columns = [f.name for f in dataclasses.fields(harness.OverheadRow)]
+    columns = {f.name: f.type for f in dataclasses.fields(harness.OverheadRow)}
     rows = harness.overhead_probe(args.dims, args.ranks, args.repeats,
                                   args.seed)
-    _write_csv(args, columns, harness.cells(rows, columns))
+    _write_csv(args, columns, harness.columns_of(rows, columns))
     return 0
 
 

@@ -9,7 +9,7 @@ keeps logging so the curve can be plotted.
 
 import time
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class TraceRecord:
     step_time_ns: int
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+TRACE_COLUMNS = {f.name: f.type for f in fields(TraceRecord)}  # name: type
 
 
 @dataclass
@@ -224,18 +224,17 @@ class BoundScanSpec:
 
 
 @dataclass(frozen=True)
-class BoundScanRow:
-    """One bound-scan row; its fields, in order, are the bound-scan CSV
-    columns."""
+class BoundScan:
+    """The bound scan as columns, one list per CSV column, in order."""
 
-    eta: float
-    mode: str
-    true_loss: float
-    upper_bound: float
-    remainder: float  # exact value of the cubic term omitted from the bound
+    eta: list[float]
+    mode: list[str]
+    true_loss: list[float]
+    upper_bound: list[float]
+    remainder: list[float]  # exact value of the cubic term omitted from the bound
 
 
-BOUND_SCAN_COLUMNS = tuple(f.name for f in fields(BoundScanRow))
+BOUND_SCAN_COLUMNS = {f.name: f.type.__args__[0] for f in fields(BoundScan)}
 
 
 def eta_grid(spec: BoundScanSpec) -> Array:
@@ -243,7 +242,7 @@ def eta_grid(spec: BoundScanSpec) -> Array:
     return grid[grid != 0.0]
 
 
-def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
+def bound_scan(spec: BoundScanSpec) -> BoundScan:
     """One refactored step per (eta, mode), with the exact loss and bound.
 
     Rows come per eta, `identity` (S = I) then `theorem-exact` (the bound
@@ -300,11 +299,15 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
              + (spec.m + spec.n - 1) * g_spec ** 2 / (2.0 * lip))
     gb, ga = g @ f.b, g.T @ f.a
     rb, ra = r_term @ f.b, r_term.T @ f.a
-    columns = []
-    for gamma, s, s_inv in (
+    # two rows per eta, identity then theorem-exact: mode i fills rows i::2
+    eta, rows = etas.tolist(), 2 * len(etas)
+    scan = BoundScan([None] * rows, ["identity", "theorem-exact"] * len(eta),
+                     [None] * rows, [None] * rows, [None] * rows)
+    scan.eta[0::2] = scan.eta[1::2] = eta
+    for i, (gamma, s, s_inv) in enumerate((
             (np.ones_like(etas), np.eye(spec.r), np.eye(spec.r)),
-            (np.array([refactor._bound_scaling(kernel.c_tilde, eta, mode)[0]
-                       for eta in etas.tolist()]), kernel.s, kernel.s_inv)):
+            (np.array([refactor._bound_scaling(kernel.c_tilde, e, mode)[0]
+                       for e in eta]), kernel.s, kernel.s_inv))):
         t_a, t_b = refactor._g_terms(f, s)
         quad = gamma * t_a + t_b / gamma - 1.0 / (lip * etas)
         bound = 0.5 * lip * etas * etas * g_spec ** 2 * quad * quad + const
@@ -314,18 +317,10 @@ def bound_scan(spec: BoundScanSpec) -> list[BoundScanRow]:
         remainder = -lip * etas ** 3 * (gamma * rho_a + rho_b / gamma)
         true_loss = _stacked_loss(inst, f, etas / gamma, p_a,
                                   etas * gamma, p_b)
-        columns.append((true_loss.tolist(), bound.tolist(),
-                        remainder.tolist()))
-
-    rows: list[BoundScanRow] = []
-    for i, eta in enumerate(etas.tolist()):
-        for name, (true_loss, bound, remainder) in zip(
-                ("identity", "theorem-exact"), columns):
-            rows.append(BoundScanRow(eta=eta, mode=name,
-                                     true_loss=true_loss[i],
-                                     upper_bound=bound[i],
-                                     remainder=remainder[i]))
-    return rows
+        scan.true_loss[i::2] = true_loss.tolist()
+        scan.upper_bound[i::2] = bound.tolist()
+        scan.remainder[i::2] = remainder.tolist()
+    return scan
 
 
 def _stacked_loss(inst: problems.LinRegInstance, f: LowRankFactors,
@@ -349,8 +344,8 @@ def _stacked_loss(inst: problems.LinRegInstance, f: LowRankFactors,
 
 @dataclass
 class CompareTable:
-    columns: list[str]
-    rows: list[list]
+    columns: dict[str, type]  # `step`, then each member's trace columns
+    data: list[list]          # one list per column, one entry per logged step
 
 
 def _run_label(spec: RunSpec, index: int, seen: set) -> str:
@@ -383,14 +378,13 @@ def compare(specs: Sequence[RunSpec],
 
     seen: set = set()
     labels = [_run_label(s, i, seen) for i, s in enumerate(specs)]
-    member_columns = [c for c in TRACE_COLUMNS if c != "step"]
-    columns = ["step"] + [f"{label}.{c}" for label in labels
-                          for c in member_columns]
-
-    rows = [[recs[0].step] + [getattr(rec, c) for rec in recs
-                               for c in member_columns]
-            for recs in zip(*(res.records for res in results))]
-    return CompareTable(columns=columns, rows=rows)
+    members = [c for c in TRACE_COLUMNS if c != "step"]
+    columns = {"step": TRACE_COLUMNS["step"]}
+    data = columns_of(results[0].records, ["step"])
+    for label, res in zip(labels, results):
+        columns.update((f"{label}.{c}", TRACE_COLUMNS[c]) for c in members)
+        data += columns_of(res.records, members)
+    return CompareTable(columns=columns, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +455,33 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.17g}"
+def columns_of(rows: Sequence, names: Iterable[str]) -> list[list]:
+    """Each named attribute of the rows, as one list per name."""
+    return [[getattr(row, name) for row in rows] for name in names]
 
 
-def cells(records: Iterable, columns: Sequence[str]) -> Iterable[list]:
-    """Each record's `columns` values, read by attribute name."""
-    return ([getattr(rec, c) for c in columns] for rec in records)
+def _column_text(kind: type, column: Sequence) -> Sequence[str]:
+    """Ints exactly, strings as they are, floats to 17 significant digits."""
+    if kind is str:
+        return column
+    if kind is int:
+        return list(map(str, map(int, column)))
+    text, last = [], object()
+    for value in column:
+        if value is not last:  # a repeated object is formatted once
+            last, cell = value, format(value, ".17g")
+        text.append(cell)
+    return text
 
 
-def write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[Sequence],
-              header_lines: Sequence[str] = ()) -> None:
-    """`# `-prefixed header lines, the column row, then one line per row."""
+def write_csv(out: TextIO, columns: Mapping[str, type],
+              data: Sequence[Sequence], header_lines: Sequence[str] = ()) -> None:
+    """`# `-prefixed header lines, the column row, then one line per row:
+    `columns` maps name to cell type, `data` has one sequence per column."""
+    text = [_column_text(kind, column)
+            for kind, column in zip(columns.values(), data, strict=True)]
     for line in header_lines:
         out.write(f"# {line}\n")
     out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    for row in zip(*text, strict=True):
+        out.write(",".join(row) + "\n")

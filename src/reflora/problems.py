@@ -151,8 +151,9 @@ class LinearRegressionProblem(Problem):
         x, y = inst.x, inst.y
         if y.shape[1] != x.shape[1]:
             raise ValueError("X and Y sample counts differ")
-        super().__init__(y.shape[0], x.shape[0],
-                         lipschitz=linalg.spectral_norm(x @ x.T))
+        # X X^T and X^T X share their nonzero eigenvalues: take the smaller
+        super().__init__(y.shape[0], x.shape[0], lipschitz=linalg.spectral_norm(
+            x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x))
         self.inst = inst
 
     def loss(self, w: Array) -> float:

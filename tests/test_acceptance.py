@@ -309,8 +309,8 @@ def test_criterion_11_bound_scan_reproduction():
     t0 = time.time()
     spec = BoundScanSpec(m=2, n=2, k=2, r=1, seed=0, eta_min=-0.5,
                          eta_max=0.5, points=201)
-    rows = harness.bound_scan(spec)
-    assert len(rows) == 400  # 200 nonzero grid etas x 2 modes
+    scan = harness.bound_scan(spec)
+    assert len(scan.eta) == 400  # 200 nonzero grid etas x 2 modes
 
     # independent remainder evaluation from the problem data
     problem, _ = problems.make_linreg(2, 2, 2, seed=0)
@@ -321,22 +321,25 @@ def test_criterion_11_bound_scan_reproduction():
     r_term = grad @ f.b @ (f.a.T @ grad)
     violations = 0
     worst_gap = -np.inf
-    for row in rows:
-        if row.mode == "identity":
+    for eta, mode, true_loss, upper_bound, row_remainder in zip(
+            scan.eta, scan.mode, scan.true_loss, scan.upper_bound,
+            scan.remainder, strict=True):
+        if mode == "identity":
             s = np.eye(1)
         else:
             s = refactor.optimal_s(
-                refactor.balance(f), row.eta, RefactorMode(THEOREM_EXACT, lip)).s_matrix
+                refactor.balance(f), eta, RefactorMode(THEOREM_EXACT, lip)).s_matrix
         m_term = f.a @ s @ (f.a.T @ grad) + grad @ f.b @ np.linalg.inv(s) @ f.b.T
-        remainder = -lip * row.eta ** 3 * float(np.sum(m_term * r_term))
-        assert remainder == pytest.approx(row.remainder, rel=1e-9, abs=1e-12)
-        certified = row.upper_bound + remainder
-        gap = row.true_loss - certified
+        remainder = -lip * eta ** 3 * float(np.sum(m_term * r_term))
+        assert remainder == pytest.approx(row_remainder, rel=1e-9, abs=1e-12)
+        certified = upper_bound + remainder
+        gap = true_loss - certified
         worst_gap = max(worst_gap, gap)
         if gap > 1e-9 * max(1.0, abs(certified)):
             violations += 1
-    min_identity = min(r.true_loss for r in rows if r.mode == "identity")
-    min_texact = min(r.true_loss for r in rows if r.mode == "theorem-exact")
+    rows = list(zip(scan.mode, scan.true_loss))
+    min_identity = min(loss for mode, loss in rows if mode == "identity")
+    min_texact = min(loss for mode, loss in rows if mode == "theorem-exact")
     elapsed = time.time() - t0
     report(11, "bound dominates the exact loss; optimal mode reaches lower",
            violations == 0 and min_texact <= min_identity and elapsed < 10.0,

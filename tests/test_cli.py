@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from reflora import cli, problems, refactor
+from reflora import cli, harness, problems, refactor
+
+from test_harness import reference_csv
 
 
 def run_cli(args, capsys=None):
@@ -541,3 +543,49 @@ class TestOneSchema:
         expected = untimed(mf, "")
         assert len(expected) == 5  # header, steps 0, 5, 10 and 12
         assert untimed(cmp, "reflora-eta0.02.") == expected
+
+
+class TestCsvBody:
+    """Each CLI body is the per-cell rule applied row by row to the
+    library's own table, byte for byte (timing columns aside)."""
+
+    def out(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        return out
+
+    def test_bound_scan(self, tmp_path):
+        scan = harness.bound_scan(harness.BoundScanSpec(points=201, seed=2))
+        columns = harness.BOUND_SCAN_COLUMNS
+        out = self.out(["bound-scan", "--points", "201", "--seed", "2"],
+                       tmp_path)
+        assert "".join(line for line in out.read_text().splitlines(True)
+                       if not line.startswith("#")) == reference_csv(
+            columns, zip(*(getattr(scan, c) for c in columns)))
+
+    def test_mf(self, tmp_path):
+        records = harness.run(harness.RunSpec(
+            problem="mf", m=12, n=10, r=2, seed=4, eta=0.02, iterations=30,
+            log_every=4)).records
+        columns = harness.TRACE_COLUMNS
+        want = tmp_path / "want.csv"
+        want.write_text(reference_csv(
+            columns, zip(*harness.columns_of(records, columns))))
+        out = self.out(["mf", "--steps", "30", "--log-every", "4", "--seed",
+                        "4", "--m", "12", "--n", "10", "--rank", "2",
+                        "--eta", "0.02"], tmp_path)
+        assert untimed(out) == untimed(want)
+
+    def test_compare(self, tmp_path):
+        table = harness.compare([harness.RunSpec(
+            problem="mf", m=12, n=10, r=2, seed=4, eta=eta, method=method,
+            iterations=12, log_every=5)
+            for method in ("lora", "reflora-s") for eta in (0.01, 0.02)])
+        want = tmp_path / "want.csv"
+        want.write_text(reference_csv(table.columns, zip(*table.data)))
+        out = self.out(["compare", "--methods", "lora,reflora-s", "--etas",
+                        "0.01,0.02", "--steps", "12", "--log-every", "5",
+                        "--seed", "4", "--m", "12", "--n", "10", "--rank",
+                        "2"], tmp_path)
+        assert len(untimed(out)) == 5  # column row, steps 0, 5, 10 and 12
+        assert untimed(out) == untimed(want)

@@ -20,6 +20,32 @@ def mf_spec(**kw):
     return RunSpec(**base)
 
 
+def reference_cell(value) -> str:
+    """The row-wise writer's rule, decided per cell: the reference."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return f"{float(value):.17g}"
+
+
+def reference_csv(columns, rows) -> str:
+    """The column row and one line per row, by the per-cell rule."""
+    lines = [",".join(columns)] + [",".join(map(reference_cell, row))
+                                   for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def alloc_peak(fn) -> int:
+    """Peak traced allocation, in bytes, while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRun:
     def test_zero_gradient_trace_is_flat(self):
         # A0 = 0 and B0 = 0: both factor gradients vanish, nothing moves
@@ -110,7 +136,8 @@ class TestRun:
         res = harness.run(mf_spec(iterations=5))
         buf = io.StringIO()
         harness.write_csv(buf, harness.TRACE_COLUMNS,
-                          harness.cells(res.records, harness.TRACE_COLUMNS),
+                          harness.columns_of(res.records,
+                                             harness.TRACE_COLUMNS),
                           header_lines=["hello"])
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# hello"
@@ -122,6 +149,26 @@ class TestRun:
         assert first[0] == "0"
         # 17-significant-digit decimals round-trip exactly
         assert float(first[1]) == res.records[0].loss
+
+    def test_writer_matches_the_per_cell_rule(self):
+        nan, pair = float("nan"), 2.5  # `pair` fills two consecutive cells
+        floats = [0.0, -0.0, nan, float("inf"), float("-inf"), 5e-324,
+                  1.7976931348623157e308, 0.1, np.float64(1 / 3), pair, pair,
+                  -0.0]
+        ints = [0, -1, np.int64(-7), np.int64(2 ** 63 - 1), True, False,
+                2 ** 62, -2 ** 62, 10 ** 17, np.int64(0), 3, 4]
+        strs = ["identity", "theorem-exact", "", "x y", "nan", "1e5",
+                "-0", "a", "b", "c", "d", "e"]
+        columns = {"x": float, "i": int, "s": str}
+        buf = io.StringIO()
+        harness.write_csv(buf, columns, [floats, ints, strs], ["hello"])
+        assert buf.getvalue() == "# hello\n" + reference_csv(
+            columns, zip(floats, ints, strs))
+
+    def test_writer_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            harness.write_csv(io.StringIO(), {"a": int, "b": int},
+                              [[1, 2], [3]])
 
     def test_adapter_scale(self):
         # alpha = r is the factor-1 default; other values change the run
@@ -200,12 +247,13 @@ class TestCompare:
         spec = mf_spec(iterations=30)
         table = harness.compare([spec])
         res = harness.run(spec)
-        assert table.columns[0] == "step"
-        assert len(table.rows) == len(res.records)
-        loss_col = table.columns.index("reflora-eta0.01.loss")
-        for row, rec in zip(table.rows, res.records):
-            assert row[0] == rec.step
-            assert row[loss_col] == rec.loss
+        assert list(table.columns)[0] == "step"
+        assert len(table.data[0]) == len(res.records)
+        loss_col = list(table.columns).index("reflora-eta0.01.loss")
+        for step, loss, rec in zip(table.data[0], table.data[loss_col],
+                                   res.records):
+            assert step == rec.step
+            assert loss == rec.loss
 
     def test_three_methods_aligned(self):
         specs = [mf_spec(method=m, iterations=30)
@@ -214,14 +262,14 @@ class TestCompare:
         assert "lora-eta0.01.loss" in table.columns
         assert "reflora-eta0.01.loss" in table.columns
         assert "scaledgd-eta0.01.loss" in table.columns
-        assert len(table.rows) == 31
+        assert len(table.data) == len(table.columns) == 1 + 3 * 7
+        assert all(len(column) == 31 for column in table.data)
+        assert table.data[0] == list(range(31))
 
     def test_duplicate_specs_identical_columns(self):
         spec = mf_spec(iterations=25)
         table = harness.compare([spec, spec])
-        k = len(table.columns) // 2  # step + 2 * 7 fields
-        for row in table.rows:
-            assert row[1] == row[1 + 7]  # loss columns agree
+        assert table.data[1] == table.data[1 + 7]  # loss columns agree
 
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ValueError):
@@ -241,10 +289,9 @@ class TestCompare:
         # step times differ between executions; the data columns must not
         skip = {i for i, c in enumerate(first.columns)
                 if c.endswith("step_time_ns")}
-        for row_1, row_2 in zip(first.rows, second.rows):
-            for i, (a, b) in enumerate(zip(row_1, row_2)):
-                if i not in skip:
-                    assert a == b
+        for i, (col_1, col_2) in enumerate(zip(first.data, second.data)):
+            if i not in skip:
+                assert col_1 == col_2
 
     def test_instance_built_once(self, monkeypatch):
         calls = []
@@ -259,7 +306,7 @@ class TestCompare:
                  for m in optim.METHODS]
         table = harness.compare(specs)
         assert len(calls) == 1
-        assert len(table.rows) == 11
+        assert len(table.data[0]) == 11
 
 
 class DenseWork(AssertionError):
@@ -329,7 +376,57 @@ class TestNoDenseWork:
     def test_compare(self, kind):
         specs = [RunSpec(**self.SPECS[kind], seed=2, method=m, iterations=10)
                  for m in optim.METHODS]
-        assert len(harness.compare(specs).rows) == 11
+        assert len(harness.compare(specs).data[0]) == 11
+
+
+class TestPeakMemory:
+    """The cost claim: a run or compare, instance build included, allocates
+    O((m + n) r), never an m x n array (at 20000^2 that is 3.2 GB).
+
+    At 20000^2, r = k = 4, the peak in units of (m + n) r 8 bytes is about
+    4.5-6 under GD, 9.5-13 under Adam and AdamW (their moment pairs) and 9
+    for a 4-member compare. Bound scan is dense at 2 x 2 by design.
+    """
+
+    MULTIPLE = 16
+    RANK = 4
+
+    def spec(self, kind, d, **kw):
+        linreg = {"k": self.RANK} if kind == "linreg" else {}
+        return RunSpec(problem=kind, m=d, n=d, r=self.RANK, seed=0, eta=1e-3,
+                       iterations=3, sigma_b=0.3, **linreg, **kw)
+
+    def ratio(self, fn, d) -> float:
+        return alloc_peak(fn) / ((d + d) * self.RANK * 8)
+
+    @pytest.mark.parametrize("kind", ["mf", "linreg"])
+    @pytest.mark.parametrize("method,optimizer", CLI_PAIRS)
+    def test_run(self, kind, method, optimizer):
+        spec = self.spec(kind, 20000, method=method, optimizer=optimizer)
+        assert self.ratio(lambda: harness.run(spec), 20000) <= self.MULTIPLE
+
+    @pytest.mark.parametrize("kind", ["mf", "linreg"])
+    def test_compare(self, kind):
+        specs = [self.spec(kind, 20000, method=m) for m in optim.METHODS]
+        assert self.ratio(lambda: harness.compare(specs),
+                          20000) <= self.MULTIPLE
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_bound_bites(self, monkeypatch, dense):
+        # at 2000^2 one m x n array is 32 MB, 250 (m + n) r 8 bytes
+        if dense:
+            step, steps = optim.reflora_step, []
+
+            def densifying(f, *args):
+                if not steps:
+                    f.product()
+                steps.append(None)
+                return step(f, *args)
+
+            monkeypatch.setattr(optim, "reflora_step", densifying)
+        spec = self.spec("mf", 2000)
+        assert (self.ratio(lambda: harness.run(spec), 2000)
+                > self.MULTIPLE) == dense
 
 
 class TestBoundScan:
@@ -341,47 +438,61 @@ class TestBoundScan:
 
     def test_rows_cover_both_modes(self):
         spec = BoundScanSpec(points=21, seed=0)
-        rows = harness.bound_scan(spec)
-        assert len(rows) == 40
-        assert {r.mode for r in rows} == {"identity", "theorem-exact"}
+        scan = harness.bound_scan(spec)
+        assert len(scan.eta) == 40
+        assert set(scan.mode) == {"identity", "theorem-exact"}
+        # per eta, identity then theorem-exact: every column has two
+        # entries per grid eta
+        grid = harness.eta_grid(spec).tolist()
+        assert list(harness.BOUND_SCAN_COLUMNS) == [
+            f.name for f in dataclasses.fields(harness.BoundScan)]
+        for column in harness.BOUND_SCAN_COLUMNS:
+            assert len(getattr(scan, column)) == 2 * len(grid)
+        assert scan.mode == ["identity", "theorem-exact"] * len(grid)
+        assert scan.eta[0::2] == scan.eta[1::2] == grid
 
     def test_jump_discontinuity_near_zero(self):
-        rows = harness.bound_scan(BoundScanSpec(points=201, seed=0))
-        texact = sorted((r for r in rows if r.mode == "theorem-exact"),
-                        key=lambda r: r.eta)
-        below = max((r for r in texact if r.eta < 0), key=lambda r: r.eta)
-        above = min((r for r in texact if r.eta > 0), key=lambda r: r.eta)
-        assert abs(below.upper_bound - above.upper_bound) > 1e-3
+        scan = harness.bound_scan(BoundScanSpec(points=201, seed=0))
+        texact = sorted((eta, bound) for eta, mode, bound in zip(
+            scan.eta, scan.mode, scan.upper_bound) if mode == "theorem-exact")
+        below = max(r for r in texact if r[0] < 0)
+        above = min(r for r in texact if r[0] > 0)
+        assert abs(below[1] - above[1]) > 1e-3
 
     def test_identity_near_zero_matches_current_loss(self):
         spec = BoundScanSpec(points=201, seed=0, eta_min=-0.01, eta_max=0.01)
-        rows = harness.bound_scan(spec)
+        scan = harness.bound_scan(spec)
         problem, _ = problems.make_linreg(2, 2, 2, seed=0)
         f = problems.init_factors(2, 2, 1, seed=0, sigma_a=np.sqrt(10.0),
                                   sigma_b=np.sqrt(0.1))
         loss_now = problem.loss_at_factors(f)
-        ident = sorted((r for r in rows if r.mode == "identity"),
-                       key=lambda r: abs(r.eta))[0]
-        assert abs(ident.eta) == pytest.approx(1e-4)
-        assert ident.true_loss == pytest.approx(loss_now, rel=2e-2)
+        eta, true_loss = min(
+            ((eta, loss) for eta, mode, loss in zip(
+                scan.eta, scan.mode, scan.true_loss) if mode == "identity"),
+            key=lambda r: abs(r[0]))
+        assert abs(eta) == pytest.approx(1e-4)
+        assert true_loss == pytest.approx(loss_now, rel=2e-2)
 
     def test_bound_plus_remainder_dominates(self):
-        rows = harness.bound_scan(BoundScanSpec(points=101, seed=3))
-        for r in rows:
-            certified = r.upper_bound + r.remainder
-            assert certified >= r.true_loss - 1e-9 * max(1.0, abs(certified))
+        scan = harness.bound_scan(BoundScanSpec(points=101, seed=3))
+        for true_loss, bound, remainder in zip(
+                scan.true_loss, scan.upper_bound, scan.remainder):
+            certified = bound + remainder
+            assert certified >= true_loss - 1e-9 * max(1.0, abs(certified))
 
     def test_theorem_exact_min_not_worse(self):
-        rows = harness.bound_scan(BoundScanSpec(points=201, seed=0))
-        min_i = min(r.true_loss for r in rows if r.mode == "identity")
-        min_t = min(r.true_loss for r in rows if r.mode == "theorem-exact")
+        scan = harness.bound_scan(BoundScanSpec(points=201, seed=0))
+        rows = list(zip(scan.mode, scan.true_loss))
+        min_i = min(loss for mode, loss in rows if mode == "identity")
+        min_t = min(loss for mode, loss in rows if mode == "theorem-exact")
         assert min_t <= min_i
 
     def test_csv_header(self):
-        rows = harness.bound_scan(BoundScanSpec(points=11, seed=0))
-        columns = ("eta", "mode", "true_loss", "upper_bound")
+        scan = harness.bound_scan(BoundScanSpec(points=11, seed=0))
+        columns = {c: harness.BOUND_SCAN_COLUMNS[c]
+                   for c in ("eta", "mode", "true_loss", "upper_bound")}
         buf = io.StringIO()
-        harness.write_csv(buf, columns, harness.cells(rows, columns))
+        harness.write_csv(buf, columns, [getattr(scan, c) for c in columns])
         assert buf.getvalue().splitlines()[0] == "eta,mode,true_loss,upper_bound"
 
 
@@ -434,16 +545,17 @@ class TestBoundScanClosedForm:
                 spec, eta_min=-0.5 * threshold, eta_max=2.0 * threshold,
                 points=61)):
             ref, _ = reference_scan(grid)
-            rows = harness.bound_scan(grid)
+            scan = harness.bound_scan(grid)
             assert any(0.0 < r[0] < threshold for r in ref)
             assert any(r[0] > threshold for r in ref)
             assert any(r[0] < 0.0 for r in ref)
-            assert [(f"{r.eta:.17g}", r.mode) for r in rows] == \
+            assert [(f"{eta:.17g}", mode)
+                    for eta, mode in zip(scan.eta, scan.mode)] == \
                 [(f"{eta:.17g}", mode) for eta, mode, *_ in ref]
             for col, name in enumerate(("true_loss", "upper_bound",
                                         "remainder"), start=2):
                 want = np.array([r[col] for r in ref])
-                got = np.array([getattr(r, name) for r in rows])
+                got = np.array(getattr(scan, name))
                 tol = np.maximum(1e-12 * np.abs(want),
                                  1e-14 * np.max(np.abs(want)))
                 assert np.all(np.abs(got - want) <= tol), name

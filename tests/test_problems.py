@@ -90,15 +90,17 @@ class TestMakeLinreg:
             0.5 * np.sum(f.product() ** 2))
 
     def test_lipschitz_is_top_eigenvalue(self):
-        # power-iteration oracle on X X^T
-        problem, inst = problems.make_linreg(2, 2, 2, seed=3)
-        xxt = inst.x @ inst.x.T
-        v = np.ones(2)
-        for _ in range(500):
-            v = xxt @ v
-            v /= np.linalg.norm(v)
-        lam = float(v @ xxt @ v)
-        assert problem.lipschitz == pytest.approx(lam, rel=1e-10)
+        # power-iteration oracle on X X^T, for n = k and for n > k (where
+        # the constant comes from the smaller X^T X)
+        for n, k in ((2, 2), (9, 3)):
+            problem, inst = problems.make_linreg(2, n, k, seed=3)
+            xxt = inst.x @ inst.x.T
+            v = np.ones(n)
+            for _ in range(500):
+                v = xxt @ v
+                v /= np.linalg.norm(v)
+            lam = float(v @ xxt @ v)
+            assert problem.lipschitz == pytest.approx(lam, rel=1e-10)
 
     def test_lipschitz_bound_on_gradient_differences(self, rng):
         problem, _ = problems.make_linreg(4, 5, 7, seed=4)
