@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
                      RefloraError, ZeroFactor)
-from .refactor import (Balance, LowRankFactors, RefactorMode, RefactorResult,
-                       balance, c_tilde, g_objective, geometric_mean_s,
-                       optimal_s, optimal_scalar, upper_bound_eval)
+from .refactor import (Balance, LowRankFactors, Preconditioner, RefactorMode,
+                       balance, g_objective, geometric_mean_s, optimal_s,
+                       optimal_scalar, upper_bound_eval)
 from .optim import (GradientPair, OptimizerState, StepConfig, adam_update,
                     delta_w, horizontal_check, reflora_step)
 from .problems import (LinRegInstance, MfInstance, Problem, init_factors,
@@ -26,9 +26,9 @@ __all__ = [
     "__version__",
     "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
     "ZeroFactor", "InvalidEta",
-    "LowRankFactors", "RefactorMode", "RefactorResult", "Balance", "balance",
+    "LowRankFactors", "RefactorMode", "Preconditioner", "Balance", "balance",
     "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",
-    "upper_bound_eval", "c_tilde",
+    "upper_bound_eval",
     "GradientPair", "OptimizerState", "StepConfig",
     "delta_w", "reflora_step", "adam_update", "horizontal_check",
     "Problem", "MfInstance", "LinRegInstance",

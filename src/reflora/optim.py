@@ -1,9 +1,10 @@
 """One stepper for every method: a method table over a shared update rule.
 
-A method is data: its METHODS entry says how to precondition the factor
-gradients, and `reflora_step` does the rest once for every method: the
-shape check, the warmup fallback to plain GD, and the update rule, GD or
-the bias-corrected Adam / AdamW of `adam_update`.
+A method is data: its METHODS entry returns a `refactor.Preconditioner`,
+the one record of how a step preconditions the factor gradients, and
+`reflora_step` does the rest once for every method: the shape check, the
+warmup fallback to plain GD, and the update rule, GD or the bias-corrected
+Adam / AdamW of `adam_update`.
 
 The stepper never forms the m x n gradient; callers supply the factor
 gradients grad(W) @ B and grad(W).T @ A as a GradientPair. `reflora` and
@@ -25,7 +26,7 @@ import numpy as np
 from . import refactor
 from .errors import IllConditioned, RankDeficient, ZeroFactor
 from .linalg import Array
-from .refactor import LowRankFactors, RefactorMode
+from .refactor import LowRankFactors, Preconditioner, RefactorMode
 
 GD = "gd"
 ADAM = "adam"
@@ -100,12 +101,12 @@ class OptimizerState:
 
 
 def adam_update(param: Array, grad: Array, m: Array, v: Array, step: int,
-                eta: float, beta1: float, beta2: float, eps: float,
-                weight_decay: float = 0.0,
+                eta: float, weight_decay: float = 0.0,
                 decoupled: bool = False) -> tuple[Array, Array, Array]:
     """One bias-corrected Adam update of a single parameter matrix.
 
-    `step` is the 1-based count of adaptive updates including this one.
+    `step` is the 1-based count of adaptive updates including this one;
+    the moment decay rates and offset are ADAM_BETA1, ADAM_BETA2, ADAM_EPS.
     With decoupled=True (AdamW) the weight decay shrinks the parameter
     before the Adam delta; otherwise decay is folded into the gradient.
     Returns the new (param, m, v).
@@ -114,11 +115,11 @@ def adam_update(param: Array, grad: Array, m: Array, v: Array, step: int,
         param = param * (1.0 - eta * weight_decay)
     elif weight_decay != 0.0:
         grad = grad + weight_decay * param
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    param = param - eta * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    param = param - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param, m, v
 
 
@@ -130,19 +131,9 @@ def delta_w(f_before: LowRankFactors, f_after: LowRankFactors) -> Array:
 
 
 # The method table. Each entry runs the refactor kernel once (or reads the
-# pair's norms) and returns (p_a, p_b, s): g_a and g_b are right-multiplied
-# by p_a and p_b (None: by I), and the update rule steps on the pair
-# rescaled to (sqrt(s) A, B / sqrt(s)), which becomes the next iterate.
-Preconditioner = tuple[Optional[Array], Optional[Array], float]
-
-
-def _reflora(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    result = refactor.optimal_s(refactor.balance(f), cfg.eta, cfg.refactor_mode)
-    return result.s_inverse, result.s_matrix, 1.0
-
-
-def _reflora_s(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    return None, None, refactor.optimal_scalar(f, cfg.eta, cfg.refactor_mode).s_scalar
+# pair's norms, or nothing) and returns a `refactor.Preconditioner`; `lora`
+# returns the one shared identity record.
+_IDENTITY = Preconditioner()
 
 
 def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
@@ -150,13 +141,15 @@ def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
     if k.ga_inv is None or k.gb_inv is None:
         raise IllConditioned("an inverse Gram matrix leaves the normal float "
                              "range; rescale the factors")
-    return k.gb_inv, k.ga_inv, 1.0
+    return Preconditioner(k.gb_inv, k.ga_inv)
 
 
 METHODS = {
-    METHOD_LORA: lambda f, cfg: (None, None, 1.0),
-    METHOD_REFLORA: _reflora,
-    METHOD_REFLORA_S: _reflora_s,
+    METHOD_LORA: lambda f, cfg: _IDENTITY,
+    METHOD_REFLORA: lambda f, cfg: refactor.optimal_s(
+        refactor.balance(f), cfg.eta, cfg.refactor_mode),
+    METHOD_REFLORA_S: lambda f, cfg: refactor.optimal_scalar(
+        f, cfg.eta, cfg.refactor_mode),
     METHOD_SCALEDGD: _scaledgd,
 }
 
@@ -166,17 +159,17 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
                  t: int = 0) -> tuple[LowRankFactors, Optional[OptimizerState]]:
     """One step of `cfg.method` under `cfg.optimizer`.
 
-    The method's METHODS entry preconditions the factor gradients: `lora`
-    not at all; `reflora` by (S^{-1}, S) from `refactor.optimal_s`, which
+    The method's METHODS entry returns the step's `Preconditioner`: `lora`
+    the identity; `reflora` (S^{-1}, S) from `refactor.optimal_s`, which
     equals refactoring to the S-balanced pair, stepping there and
-    refactoring back; `scaledgd` by ((B^T B)^{-1}, (A^T A)^{-1}), raising
+    refactoring back; `scaledgd` ((B^T B)^{-1}, (A^T A)^{-1}), raising
     IllConditioned when one leaves the normal float range; `reflora-s`
-    rescales the pair to (sqrt(s) A, B / sqrt(s)) with s from
-    `refactor.optimal_scalar` and keeps it,
-    with no second refactoring. The update rule is then GD, or Adam/AdamW
-    (`adam_update`) on the original axes, except that under `reflora-s`
-    the A-moments are rescaled by 1/sqrt(s) and 1/s and the B-moments by
-    sqrt(s) and s. Without a `state`, Adam starts from zero moments.
+    the rescale s from `refactor.optimal_scalar`: the pair becomes
+    (sqrt(s) A, B / sqrt(s)) and is kept, with no second refactoring. The
+    update rule is then GD, or Adam/AdamW (`adam_update`) on the original
+    axes, except that under `reflora-s` the A-moments are rescaled by
+    1/sqrt(s) and 1/s and the B-moments by sqrt(s) and s. Without a
+    `state`, Adam starts from zero moments.
 
     A pair the method cannot precondition (RankDeficient; ZeroFactor for
     `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
@@ -192,15 +185,15 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     g_a, g_b = grad_w_times.g_a, grad_w_times.g_b
     optimizer = cfg.optimizer
     try:
-        p_a, p_b, s = METHODS[cfg.method](f, cfg)
+        p = METHODS[cfg.method](f, cfg)
     except (RankDeficient, ZeroFactor) as exc:
         if t >= cfg.warmup_steps:
             raise type(exc)(f"{exc} (iteration {t}, past warmup)") from None
         # warmup: plain GD, even under Adam, with the state left unchanged
-        p_a, p_b, s, optimizer = None, None, 1.0, GD
-    if p_a is not None:
-        g_a, g_b = g_a @ p_a, g_b @ p_b
-    rs = np.sqrt(s)
+        p, optimizer = _IDENTITY, GD
+    if p.p_a is not None:
+        g_a, g_b = g_a @ p.p_a, g_b @ p.p_b
+    rs = np.sqrt(p.s)
     if optimizer == GD:
         # the rescaled pair's gradients are (g_a / rs, rs g_b)
         return LowRankFactors.unchecked(rs * f.a - (cfg.eta / rs) * g_a,
@@ -208,18 +201,16 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     if state is None:
         state = OptimizerState.zeros(f.m, f.n, f.r)
     a, b = f.a, f.b
-    if s != 1.0:
+    if p.s != 1.0:
         a, b, g_a, g_b = rs * a, b / rs, g_a / rs, rs * g_b
         state = dataclasses.replace(state,
-                                    m_a=state.m_a / rs, v_a=state.v_a / s,
-                                    m_b=state.m_b * rs, v_b=state.v_b * s)
+                                    m_a=state.m_a / rs, v_a=state.v_a / p.s,
+                                    m_b=state.m_b * rs, v_b=state.v_b * p.s)
     step = state.step + 1
     decoupled = optimizer == ADAMW
     a, m_a, v_a = adam_update(a, g_a, state.m_a, state.v_a, step, cfg.eta,
-                              ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               cfg.weight_decay, decoupled)
     b, m_b, v_b = adam_update(b, g_b, state.m_b, state.v_b, step, cfg.eta,
-                              ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               cfg.weight_decay, decoupled)
     return LowRankFactors.unchecked(a, b), dataclasses.replace(
         state, m_a=m_a, v_a=v_a, m_b=m_b, v_b=v_b, step=step)

@@ -174,7 +174,7 @@ def check_scalar_critical_point(gen, trials: int) -> PropResult:
         res = refactor.optimal_scalar(f, 0.1, refactor.RefactorMode())
         a2 = float(np.sum(f.a * f.a))
         b2 = float(np.sum(f.b * f.b))
-        worst = max(worst, rel(abs(a2 * res.s_scalar ** 2 - b2), b2))
+        worst = max(worst, rel(abs(a2 * res.s ** 2 - b2), b2))
     return PropResult("refactor.scalar_critical_point", worst, 1e-12)
 
 

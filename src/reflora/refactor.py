@@ -8,7 +8,8 @@ the balanced S (the matrix geometric mean of (A^T A)^{-1} and B^T B),
 scaled by gamma on the small-learning-rate branch of theorem-exact mode.
 One scaling, `_bound_scaling`, serves both the matrix minimizer
 `optimal_s` and its restriction S = s I, `optimal_scalar`; whether S is a
-matrix or a scalar follows from the method, not from the mode. The bound
+matrix or a scalar follows from the method, not from the mode. Both return
+a `Preconditioner`, the one record of a step's refactoring. The bound
 evaluation itself is here too.
 
 Every matrix quantity comes from one kernel, `balance`, which works on the
@@ -142,28 +143,24 @@ BRANCH_SMALL_ETA_MINUS = "small-eta-minus"
 
 
 @dataclass(frozen=True)
-class RefactorResult:
-    """Chosen S (matrix or scalar, exactly one set) plus diagnostics.
+class Preconditioner:
+    """One step's refactoring, as the stepper applies it.
 
-    c_tilde is the learning-rate threshold constant of the bound: twice the
-    nuclear norm of A @ B.T for a matrix S, and 2 ||A||_F ||B||_F, the same
-    constant restricted to S = s I, for a scalar. g_value is the bound
-    objective ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2 evaluated at the
-    returned S; on the balanced branch it equals c_tilde, on the small-eta
-    branches it equals 1 / (L eta). Matrix results carry S^{-1} in
-    s_inverse.
+    The factor gradients g_a and g_b are right-multiplied by p_a and p_b
+    (None: by I), and the update rule steps on the pair rescaled to
+    (sqrt(s) A, B / sqrt(s)), which becomes the next iterate. `optimal_s`
+    sets (p_a, p_b) = (S^{-1}, S) and `optimal_scalar` sets s; both record
+    the branch and c_tilde, the learning-rate threshold constant of the
+    bound: twice the nuclear norm of A @ B.T for a matrix S, and
+    2 ||A||_F ||B||_F, the same constant restricted to S = s I, for a
+    scalar.
     """
 
-    branch: str
-    c_tilde: float
-    g_value: float
-    s_matrix: Optional[Array] = None
-    s_scalar: Optional[float] = None
-    s_inverse: Optional[Array] = None
-
-    def __post_init__(self):
-        if (self.s_matrix is None) == (self.s_scalar is None):
-            raise ValueError("exactly one of s_matrix, s_scalar must be set")
+    p_a: Optional[Array] = None
+    p_b: Optional[Array] = None
+    s: float = 1.0
+    branch: Optional[str] = None
+    c_tilde: Optional[float] = None
 
 
 def gram(m: Array) -> Array:
@@ -298,11 +295,6 @@ def _scaled_or_none(spd: Array, e: int) -> Optional[Array]:
     return np.ldexp(spd, e) if _scaled_in_range(spd, e) else None
 
 
-def c_tilde(f: LowRankFactors) -> float:
-    """Threshold constant: twice the nuclear norm of the increment."""
-    return balance(f).c_tilde
-
-
 def geometric_mean_s(f: LowRankFactors) -> Array:
     """Balanced refactoring matrix: the SPD solution of S (A^T A) S = B^T B.
 
@@ -377,24 +369,23 @@ def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, st
     return 1.0 / plus, BRANCH_SMALL_ETA_MINUS
 
 
-def optimal_s(k: Balance, eta: float, mode: RefactorMode) -> RefactorResult:
+def optimal_s(k: Balance, eta: float, mode: RefactorMode) -> Preconditioner:
     """S minimizing the loss upper bound, per the configured mode.
 
     The balanced S of the kernel result `k = balance(f)`, which must be
     full rank (else RankDeficient), scaled by `_bound_scaling`'s gamma (and
-    S^{-1} by 1/gamma).
+    S^{-1} by 1/gamma), as the preconditioners (S^{-1}, S).
     """
     k.require_full_rank()
-    ct = k.c_tilde
-    gamma, branch = _bound_scaling(ct, eta, mode)
+    gamma, branch = _bound_scaling(k.c_tilde, eta, mode)
     if branch == BRANCH_BALANCED:
-        return RefactorResult(branch, ct, ct, s_matrix=k.s, s_inverse=k.s_inv)
-    return RefactorResult(branch, ct, 1.0 / (mode.lipschitz * eta),
-                          s_matrix=gamma * k.s, s_inverse=k.s_inv / gamma)
+        return Preconditioner(k.s_inv, k.s, branch=branch, c_tilde=k.c_tilde)
+    return Preconditioner(k.s_inv / gamma, gamma * k.s, branch=branch,
+                          c_tilde=k.c_tilde)
 
 
-def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> RefactorResult:
-    """The same bound minimizer restricted to S = s I.
+def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Preconditioner:
+    """The same bound minimizer restricted to S = s I, as the rescale s.
 
     The balanced value ||B||_F / ||A||_F equalizes the factor norms, and
     c_tilde becomes 2 ||A||_F ||B||_F; `_bound_scaling`'s gamma then scales
@@ -409,9 +400,8 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Refacto
     norm_b = np.sqrt(b2)
     ct = 2.0 * norm_a * norm_b
     gamma, branch = _bound_scaling(ct, eta, mode)
-    s = float(gamma * (norm_b / norm_a))
-    g = a2 * s + b2 / s if branch == BRANCH_BALANCED else 1.0 / (mode.lipschitz * eta)
-    return RefactorResult(branch, ct, g, s_scalar=s)
+    return Preconditioner(s=float(gamma * (norm_b / norm_a)), branch=branch,
+                          c_tilde=ct)
 
 
 def upper_bound_eval(f: LowRankFactors, s: Array, eta: float, lipschitz: float,

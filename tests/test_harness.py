@@ -520,7 +520,7 @@ def reference_scan(spec):
                 s = s_inv = np.eye(spec.r)
             else:
                 res = refactor.optimal_s(kernel, eta, mode)
-                s, s_inv = res.s_matrix, res.s_inverse
+                s, s_inv = res.p_b, res.p_a
             a_new = f.a - eta * (g @ f.b) @ s_inv
             b_new = f.b - eta * (g.T @ f.a) @ s
             m_term = f.a @ s @ (f.a.T @ g) + g @ f.b @ s_inv @ f.b.T

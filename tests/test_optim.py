@@ -187,10 +187,8 @@ class TestRefloraStep:
         s = refactor.geometric_mean_s(f)
         g_a = gp.g_a @ np.linalg.inv(s)
         g_b = gp.g_b @ s
-        want_a, _, _ = optim.adam_update(f.a, g_a, state.m_a, state.v_a, 1,
-                                         0.01, 0.9, 0.999, 1e-8)
-        want_b, _, _ = optim.adam_update(f.b, g_b, state.m_b, state.v_b, 1,
-                                         0.01, 0.9, 0.999, 1e-8)
+        want_a, _, _ = optim.adam_update(f.a, g_a, state.m_a, state.v_a, 1, 0.01)
+        want_b, _, _ = optim.adam_update(f.b, g_b, state.m_b, state.v_b, 1, 0.01)
         assert rel_err(got.a, want_a) < 1e-10
         assert rel_err(got.b, want_b) < 1e-10
         assert new_state.step == 1
@@ -216,7 +214,7 @@ class TestRefloraSStep:
         a *= 2.0 / np.linalg.norm(a)
         b *= 1.0 / np.linalg.norm(b)
         f = LowRankFactors(a, b)
-        s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s_scalar
+        s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s
         assert s == pytest.approx(0.5, rel=1e-12)
         a_t = np.sqrt(s) * a
         b_t = b / np.sqrt(s)
@@ -237,14 +235,14 @@ class TestRefloraSStep:
 
             # reference: explicitly rescale factors, gradients, and moments,
             # then run the plain adaptive rule
-            s = refactor.optimal_scalar(f, 0.01, RefactorMode()).s_scalar
+            s = refactor.optimal_scalar(f, 0.01, RefactorMode()).s
             rs = np.sqrt(s)
             want_a, m_a, v_a = optim.adam_update(
                 rs * f.a, (grad @ f.b) / rs, state.m_a / rs, state.v_a / s,
-                4, 0.01, 0.9, 0.999, 1e-8)
+                4, 0.01)
             want_b, m_b, v_b = optim.adam_update(
                 f.b / rs, rs * (grad.T @ f.a), state.m_b * rs, state.v_b * s,
-                4, 0.01, 0.9, 0.999, 1e-8)
+                4, 0.01)
             assert rel_err(got.a, want_a) <= 1e-10
             assert rel_err(got.b, want_b) <= 1e-10
             assert rel_err(got_state.m_a, m_a) <= 1e-10
@@ -289,21 +287,77 @@ class TestScaledGdStep:
             optim.reflora_step(f, pair_from_dense(f, np.ones((4, 3))), cfg, t=5)
 
 
+class TestMethodTable:
+    """Each METHODS entry returns a `refactor.Preconditioner`."""
+
+    def test_lora_shares_the_identity_without_a_kernel_run(self, rng,
+                                                           monkeypatch):
+        def no_kernel(f):
+            raise AssertionError("lora ran the refactor kernel")
+
+        monkeypatch.setattr(refactor, "balance", no_kernel)
+        entry = optim.METHODS[optim.METHOD_LORA]
+        cfg = StepConfig(eta=0.1, method=optim.METHOD_LORA)
+        p = entry(random_factors(rng, 5, 4, 2), cfg)
+        assert p == refactor.Preconditioner(None, None, 1.0, None, None)
+        assert entry(random_factors(rng, 3, 3, 1), cfg) is p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.s = 2.0
+
+    def test_reflora_balanced_and_small_eta(self, rng):
+        f = random_factors(rng, 6, 5, 2)
+        k = refactor.balance(f)
+        entry = optim.METHODS[optim.METHOD_REFLORA]
+        p = entry(f, StepConfig(eta=0.01))
+        assert np.array_equal(p.p_a, k.s_inv) and np.array_equal(p.p_b, k.s)
+        assert (p.s, p.branch) == (1.0, refactor.BRANCH_BALANCED)
+        assert p.c_tilde == k.c_tilde
+        lip = 1.0
+        eta = 0.01 / (k.c_tilde * lip)
+        for root, branch in (("plus", refactor.BRANCH_SMALL_ETA_PLUS),
+                             ("minus", refactor.BRANCH_SMALL_ETA_MINUS)):
+            mode = RefactorMode(refactor.THEOREM_EXACT, lip, root)
+            gamma, _ = refactor._bound_scaling(k.c_tilde, eta, mode)
+            assert gamma != 1.0
+            p = entry(f, StepConfig(eta=eta, refactor_mode=mode))
+            assert np.array_equal(p.p_a, k.s_inv / gamma)
+            assert np.array_equal(p.p_b, gamma * k.s)
+            assert (p.s, p.branch, p.c_tilde) == (1.0, branch, k.c_tilde)
+
+    def test_reflora_s_is_a_scalar_rescale(self, rng):
+        f = random_factors(rng, 6, 5, 2)
+        norm_a, norm_b = np.linalg.norm(f.a), np.linalg.norm(f.b)
+        p = optim.METHODS[optim.METHOD_REFLORA_S](
+            f, StepConfig(eta=0.01, method=optim.METHOD_REFLORA_S))
+        assert p.p_a is None and p.p_b is None
+        assert p.s == pytest.approx(norm_b / norm_a, rel=1e-14)
+        assert p.branch == refactor.BRANCH_BALANCED
+        assert p.c_tilde == pytest.approx(2.0 * norm_a * norm_b, rel=1e-14)
+
+    def test_scaledgd_takes_the_inverse_grams(self, rng):
+        f = random_factors(rng, 6, 5, 2)
+        k = refactor.balance(f)
+        p = optim.METHODS[optim.METHOD_SCALEDGD](
+            f, StepConfig(eta=0.01, method=optim.METHOD_SCALEDGD))
+        assert np.array_equal(p.p_a, k.gb_inv) and np.array_equal(p.p_b, k.ga_inv)
+        assert (p.s, p.branch, p.c_tilde) == (1.0, None, None)
+
+
 class TestAdamUpdate:
     def test_sign_sgd_limit(self, rng):
         param = rng.standard_normal((3, 2))
         grad = rng.standard_normal((3, 2))
+        # at step 1 from zero moments, bias correction makes Adam sign
+        # descent whatever the decay rates
         new, _, _ = optim.adam_update(param, grad, np.zeros_like(param),
-                                      np.zeros_like(param), 1, 0.1, 0.0, 0.0,
-                                      1e-8)
+                                      np.zeros_like(param), 1, 0.1)
         want = param - 0.1 * grad / (np.abs(grad) + 1e-8)
         assert rel_err(new, want) < 1e-12
 
     def test_zero_grad_zero_moments(self, rng):
         param = rng.standard_normal((3, 2))
         zero = np.zeros_like(param)
-        new, m, v = optim.adam_update(param, zero, zero, zero, 1, 0.1, 0.9,
-                                      0.999, 1e-8)
+        new, m, v = optim.adam_update(param, zero, zero, zero, 1, 0.1)
         assert np.array_equal(new, param)
         assert np.array_equal(m, zero)
         assert np.array_equal(v, zero)
@@ -315,18 +369,16 @@ class TestAdamUpdate:
         for step, (grad, want) in enumerate(zip(ADAM_GRADS,
                                                 ADAM_TRACE_EXPECTED), 1):
             param, m, v = optim.adam_update(param, np.array([[grad]]), m, v,
-                                            step, 0.1, 0.9, 0.999, 1e-8)
+                                            step, 0.1)
             assert param[0, 0] == pytest.approx(want, rel=1e-15)
 
     def test_decoupled_weight_decay(self, rng):
         param = rng.standard_normal((2, 2))
         grad = rng.standard_normal((2, 2))
         zero = np.zeros_like(param)
-        plain, _, _ = optim.adam_update(param, grad, zero, zero, 1, 0.1, 0.9,
-                                        0.999, 1e-8)
-        decayed, _, _ = optim.adam_update(param, grad, zero, zero, 1, 0.1, 0.9,
-                                          0.999, 1e-8, weight_decay=0.01,
-                                          decoupled=True)
+        plain, _, _ = optim.adam_update(param, grad, zero, zero, 1, 0.1)
+        decayed, _, _ = optim.adam_update(param, grad, zero, zero, 1, 0.1,
+                                          weight_decay=0.01, decoupled=True)
         # shrink first, then the same adaptive delta
         assert rel_err(decayed, plain - 0.1 * 0.01 * param) < 1e-12
 

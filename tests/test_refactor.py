@@ -112,17 +112,18 @@ class TestOptimalS:
         f = random_factors(rng, 6, 5, 2)
         res = refactor.optimal_s(refactor.balance(f), 1e-9, RefactorMode())
         assert res.branch == refactor.BRANCH_BALANCED
-        assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) == 0.0
-        assert res.g_value == pytest.approx(res.c_tilde, rel=1e-8)
+        assert rel_err(res.p_b, refactor.geometric_mean_s(f)) == 0.0
+        assert refactor.g_objective(f, res.p_b) == pytest.approx(res.c_tilde,
+                                                                 rel=1e-8)
 
     def test_boundary_returns_balanced(self, rng):
         f = random_factors(rng, 6, 5, 2)
         lip = 1.0
-        eta_c = 1.0 / (refactor.c_tilde(f) * lip)
+        eta_c = 1.0 / (refactor.balance(f).c_tilde * lip)
         res = refactor.optimal_s(refactor.balance(f),
                                  eta_c, RefactorMode(THEOREM_EXACT, lip))
         assert res.branch == refactor.BRANCH_BALANCED
-        assert rel_err(res.s_matrix, refactor.geometric_mean_s(f)) < 1e-10
+        assert rel_err(res.p_b, refactor.geometric_mean_s(f)) < 1e-10
 
     def test_forced_scaling_rank_one(self):
         # unit vectors, a = b: threshold constant 2; L = 1, eta = 1/4
@@ -132,8 +133,8 @@ class TestOptimalS:
                                   0.25, RefactorMode(THEOREM_EXACT, 1.0, "plus"))
         minus = refactor.optimal_s(refactor.balance(f),
                                    0.25, RefactorMode(THEOREM_EXACT, 1.0, "minus"))
-        assert plus.s_matrix[0, 0] == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
-        assert minus.s_matrix[0, 0] == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-12)
+        assert plus.p_b[0, 0] == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
+        assert minus.p_b[0, 0] == pytest.approx(2.0 - np.sqrt(3.0), rel=1e-12)
         assert plus.branch == refactor.BRANCH_SMALL_ETA_PLUS
         assert minus.branch == refactor.BRANCH_SMALL_ETA_MINUS
 
@@ -141,13 +142,12 @@ class TestOptimalS:
         g = gen(9)
         f = random_factors(g, 7, 5, 3)
         lip = 2.0
-        eta = 0.01 / (refactor.c_tilde(f) * lip)
+        eta = 0.01 / (refactor.balance(f).c_tilde * lip)
         for root in ("plus", "minus"):
             res = refactor.optimal_s(refactor.balance(f),
                                      eta, RefactorMode(THEOREM_EXACT, lip, root))
             target = 1.0 / (lip * eta)
-            assert abs(g_oracle(f, res.s_matrix) - target) <= 1e-8 * target
-            assert res.g_value == pytest.approx(target, rel=1e-12)
+            assert abs(g_oracle(f, res.p_b) - target) <= 1e-8 * target
 
     def test_negative_eta_is_balanced(self, rng):
         f = random_factors(rng, 5, 4, 2)
@@ -176,7 +176,7 @@ class TestOptimalScalar:
         b = np.zeros((4, 1)); b[2, 0] = 1.0
         f = LowRankFactors(a, b)
         res = refactor.optimal_scalar(f, 10.0, RefactorMode())
-        assert res.s_scalar == pytest.approx(0.5, rel=1e-15)
+        assert res.s == pytest.approx(0.5, rel=1e-15)
         assert res.branch == refactor.BRANCH_BALANCED
 
     def test_forced_small_eta(self):
@@ -186,9 +186,9 @@ class TestOptimalScalar:
         f = LowRankFactors(a, b)
         mode_p = RefactorMode(THEOREM_EXACT, 1.0, "plus")
         mode_m = RefactorMode(THEOREM_EXACT, 1.0, "minus")
-        assert refactor.optimal_scalar(f, 0.25, mode_p).s_scalar == \
+        assert refactor.optimal_scalar(f, 0.25, mode_p).s == \
             pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
-        assert refactor.optimal_scalar(f, 0.25, mode_m).s_scalar == \
+        assert refactor.optimal_scalar(f, 0.25, mode_m).s == \
             pytest.approx(2.0 - np.sqrt(3.0), rel=1e-12)
 
     def test_small_eta_residual_seed13(self):
@@ -200,7 +200,7 @@ class TestOptimalScalar:
         eta = 0.05 / (2.0 * np.sqrt(a2 * b2) * lip)
         for root in ("plus", "minus"):
             mode = RefactorMode(THEOREM_EXACT, lip, root)
-            s = refactor.optimal_scalar(f, eta, mode).s_scalar
+            s = refactor.optimal_scalar(f, eta, mode).s
             h = (a2 * s + b2 / s - 1.0 / (lip * eta)) ** 2
             assert h <= 1e-16
 
@@ -212,7 +212,7 @@ class TestOptimalScalar:
     def test_critical_point(self, rng):
         for _ in range(50):
             f = random_factors(rng, 7, 6, 3)
-            s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s_scalar
+            s = refactor.optimal_scalar(f, 1.0, RefactorMode()).s
             a2 = float(np.sum(f.a ** 2))
             b2 = float(np.sum(f.b ** 2))
             assert a2 * s * s == pytest.approx(b2, rel=1e-12)
@@ -231,15 +231,16 @@ class TestOptimalScalar:
                                10.0 ** g.uniform(-3, 3) * g.standard_normal((n, 1)))
             for mode in modes:
                 lip = mode.lipschitz or 1.0
-                eta_c = 1.0 / (refactor.c_tilde(f) * lip)
+                eta_c = 1.0 / (refactor.balance(f).c_tilde * lip)
                 for eta in (0.001 * eta_c, 0.3 * eta_c, 0.99 * eta_c,
                             2.0 * eta_c, -0.5 * eta_c):
                     mat = refactor.optimal_s(refactor.balance(f), eta, mode)
                     sca = refactor.optimal_scalar(f, eta, mode)
                     assert sca.branch == mat.branch
-                    assert rel_err(sca.s_scalar, mat.s_matrix[0, 0]) <= 1e-13
+                    assert rel_err(sca.s, mat.p_b[0, 0]) <= 1e-13
                     assert rel_err(sca.c_tilde, mat.c_tilde) <= 1e-13
-                    assert rel_err(sca.g_value, mat.g_value) <= 1e-13
+                    assert rel_err(refactor.g_objective(f, sca.s * np.eye(1)),
+                                   refactor.g_objective(f, mat.p_b)) <= 1e-13
 
 
 class TestRefactorMode:
@@ -305,7 +306,7 @@ class TestUpperBoundEval:
         # scale the balanced matrix so g(S) equals exactly 1/(L eta)
         res = refactor.optimal_s(refactor.balance(f),
                                  eta, RefactorMode(THEOREM_EXACT, lip))
-        got = refactor.upper_bound_eval(f, res.s_matrix, eta, lip, 5.0,
+        got = refactor.upper_bound_eval(f, res.p_b, eta, lip, 5.0,
                                         const_terms=4.5)
         assert got == pytest.approx(4.5, abs=1e-10)
 
@@ -324,7 +325,7 @@ class TestProductNuclearNorm:
         for _ in range(50):
             f = random_factors(g, 12, 9, 4)
             dense = 2.0 * linalg.nuclear_norm(f.product())
-            assert refactor.c_tilde(f) == pytest.approx(dense, rel=1e-10)
+            assert refactor.balance(f).c_tilde == pytest.approx(dense, rel=1e-10)
 
 
 def near_singular_factors(rho, seed=0):
@@ -354,9 +355,9 @@ class TestKernelContract:
         consumers = [
             lambda: refactor.geometric_mean_s(f),
             lambda: refactor.optimal_s(refactor.balance(f),
-                                       0.01, RefactorMode()).s_matrix,
+                                       0.01, RefactorMode()).p_b,
             lambda: refactor.optimal_s(
-                refactor.balance(f), 1e-6, RefactorMode(THEOREM_EXACT, 1.0)).s_matrix,
+                refactor.balance(f), 1e-6, RefactorMode(THEOREM_EXACT, 1.0)).p_b,
             lambda: optim.reflora_step(f, gp, cfg, t=5),
             lambda: optim.reflora_step(f, gp, scaledgd, t=5),
             lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
@@ -426,7 +427,7 @@ class TestKernelContract:
             k = refactor.balance(f)
             assert k.full_rank and k.c_tilde == np.inf
             assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
-            assert refactor.c_tilde(f) == np.inf
+            assert refactor.balance(f).c_tilde == np.inf
             res = refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
             assert res.c_tilde == np.inf
             res = refactor.optimal_s(refactor.balance(f),
