@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
                      RefloraError, ZeroFactor)
 from .refactor import (Balance, LowRankFactors, Preconditioner, RefactorMode,
-                       balance, g_objective, geometric_mean_s, optimal_s,
-                       optimal_scalar, upper_bound_eval)
+                       balance, g_objective, optimal_s, optimal_scalar,
+                       upper_bound_eval)
 from .optim import (GradientPair, OptimizerState, StepConfig, adam_update,
                     delta_w, horizontal_check, reflora_step)
 from .problems import (LinRegInstance, MfInstance, Problem, init_factors,
@@ -27,8 +27,7 @@ __all__ = [
     "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
     "ZeroFactor", "InvalidEta",
     "LowRankFactors", "RefactorMode", "Preconditioner", "Balance", "balance",
-    "geometric_mean_s", "optimal_s", "optimal_scalar", "g_objective",
-    "upper_bound_eval",
+    "optimal_s", "optimal_scalar", "g_objective", "upper_bound_eval",
     "GradientPair", "OptimizerState", "StepConfig",
     "delta_w", "reflora_step", "adam_update", "horizontal_check",
     "Problem", "MfInstance", "LinRegInstance",

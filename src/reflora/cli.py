@@ -149,24 +149,25 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers, by command name."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; a parse holds only the flags given (and the command)."""
     parser = argparse.ArgumentParser(
         prog="reflora",
         description="Low-rank adapter refactoring benchmarks")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, flags in _FLAGS.items():
-        sub = commands[name] = subs.add_parser(name)
+        sub = subs.add_parser(name, argument_default=argparse.SUPPRESS)
         # argparse < 3.13 takes the -1e-3 of `--eta-min -1e-3` for an option
         sub._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
-        sub.add_argument("--config", type=str, default=None,
+        sub.add_argument("--config", type=str,
                          help="flat key = value config file; flags override")
-        for flag, ftype, default, help_text, check in flags:
-            sub.add_argument(f"--{flag}", type=ftype, default=default,
-                             help=help_text or check[1])
-    return parser, commands
+        for flag, ftype, _, help_text, check in flags:
+            sub.add_argument(f"--{flag}", type=ftype, help=help_text or check[1])
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def _load_config(path: str, command: str) -> dict[str, object]:
@@ -375,17 +376,20 @@ _COMMANDS = {"mf": _cmd_run, "linreg": _cmd_run,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # config values become the command's defaults, so a flag
-            # given in any spelling argparse accepts wins
-            commands[args.command].set_defaults(
-                **_load_config(args.config, args.command))
-            args = parser.parse_args(argv)
+        given = vars(_PARSER.parse_args(argv))
+        command = given["command"]
+        # a string default goes through its flag's type, as in argparse
+        values = {flag.replace("-", "_"):
+                  ftype(default) if isinstance(default, str) else default
+                  for flag, ftype, default, *_ in _FLAGS[command]}
+        config = given.pop("config", None)
+        if config:
+            values.update(_load_config(config, command))
+        # a flag given in any spelling argparse accepts wins over both
+        args = argparse.Namespace(**{**values, **given})
         _check_flags(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](args)
     except SystemExit as exc:  # argparse: exit 2 on a bad flag, 0 on --help
         return int(exc.code or 0)
     except UsageError as exc:

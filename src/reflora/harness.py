@@ -287,7 +287,7 @@ def bound_scan(spec: BoundScanSpec) -> BoundScan:
     g_fro2 = float(np.sum(g * g))
     r_term = g @ f.b @ (f.a.T @ g)
     # one kernel run serves every eta: the pair does not change
-    kernel = refactor.balance(f).require_full_rank()
+    kernel = refactor.balance(f)
     mode = RefactorMode(refactor.THEOREM_EXACT, lip, spec.root)
 
     etas = eta_grid(spec)

@@ -137,7 +137,7 @@ _IDENTITY = Preconditioner()
 
 
 def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    k = refactor.balance(f).require_full_rank()
+    k = refactor.balance(f)
     if k.ga_inv is None or k.gb_inv is None:
         raise IllConditioned("an inverse Gram matrix leaves the normal float "
                              "range; rescale the factors")
@@ -233,7 +233,7 @@ def horizontal_check(f: LowRankFactors, update: tuple[Array, Array]) -> float:
     u_a, u_b = update
     if u_a.shape != f.a.shape or u_b.shape != f.b.shape:
         raise ValueError("update shapes do not match factors")
-    k = refactor.balance(f).require_full_rank()
+    k = refactor.balance(f)
     s, s_inv = k.s, k.s_inv
     u_norm = np.sqrt(np.sum((u_a @ s) * u_a) + np.sum((u_b @ s_inv) * u_b))
     if u_norm == 0.0:

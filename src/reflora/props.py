@@ -104,7 +104,7 @@ def check_balanced_grams(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(trials):
         f = random_factors(gen)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         a_t = f.a @ linalg.spd_sqrt(s)
         b_t = f.b @ linalg.spd_inv_sqrt(s)
         ga = refactor.gram(a_t)
@@ -117,7 +117,7 @@ def check_stationarity(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(trials):
         f = random_factors(gen)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         gb = refactor.gram(f.b)
         worst = max(worst, rel(np.linalg.norm(s @ refactor.gram(f.a) @ s - gb),
                                np.linalg.norm(gb)))
@@ -129,7 +129,7 @@ def check_gram_product_form(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(trials):
         f = random_factors(gen)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         alt = np.linalg.solve(
             refactor.gram(f.a),
             linalg.nonsym_psd_sqrt(refactor.gram(f.a), refactor.gram(f.b)))
@@ -141,7 +141,7 @@ def check_minimality(gen, trials: int) -> PropResult:
     worst = 0.0
     for _ in range(max(trials // 10, 1)):
         f = random_factors(gen, max_dim=32, max_rank=8)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         g_star = refactor.g_objective(f, s)
         for _ in range(100):
             w = np.linalg.eigvalsh(s)
@@ -158,9 +158,9 @@ def check_congruence_invariance(gen, trials: int) -> PropResult:
         f = random_factors(gen, max_dim=32, max_rank=8)
         p = gen.standard_normal((f.r, f.r)) + np.eye(f.r)
         p_inv_t = np.linalg.inv(p).T
-        s = refactor.geometric_mean_s(f)
-        s_p = refactor.geometric_mean_s(
-            LowRankFactors(f.a @ p, f.b @ p_inv_t))
+        s = refactor.balance(f).s
+        s_p = refactor.balance(
+            LowRankFactors(f.a @ p, f.b @ p_inv_t)).s
         expect = np.linalg.solve(p, np.linalg.solve(p, s.T).T)
         worst = max(worst, rel(np.linalg.norm(s_p - expect),
                                np.linalg.norm(expect)))
@@ -194,7 +194,7 @@ def check_sandwich(gen, trials: int) -> PropResult:
     for _ in range(trials):
         f, grad = _random_instance(gen)
         spec2 = linalg.spectral_norm(grad) ** 2
-        for s in (np.eye(f.r), refactor.geometric_mean_s(f)):
+        for s in (np.eye(f.r), refactor.balance(f).s):
             s_half = linalg.spd_sqrt(s)
             s_inv_half = linalg.spd_inv_sqrt(s)
             first_order = -eta * (np.sum((grad @ f.b @ s_inv_half) ** 2)
@@ -250,7 +250,7 @@ def check_balance_propagation(gen, trials: int) -> PropResult:
             gp = problem.value_and_grad(f)[1]
             f, _ = optim.reflora_step(f, gp, cfg, t=t)
             if t >= cfg.warmup_steps:
-                s = refactor.geometric_mean_s(f)
+                s = refactor.balance(f).s
                 a_t = f.a @ linalg.spd_sqrt(s)
                 b_t = f.b @ linalg.spd_inv_sqrt(s)
                 ga = refactor.gram(a_t)

@@ -94,7 +94,11 @@ class LowRankFactors:
 
     def is_full_rank(self) -> bool:
         """The refactor kernel's rank verdict (see FULL_RANK_EPS)."""
-        return balance(self).full_rank
+        try:
+            balance(self)
+        except RankDeficient:
+            return False
+        return True
 
 
 def _read_only(x: Array) -> Array:
@@ -169,59 +173,51 @@ def gram(m: Array) -> Array:
 
 @dataclass(frozen=True)
 class Balance:
-    """The refactor kernel's result for one factor pair.
+    """The refactor kernel's result for a full-rank factor pair.
 
-    full_rank is the library's rank verdict; c_tilde = 2 * sum of the
-    singular values of A @ B.T (nan for non-finite factors). Only for a
-    full-rank pair: s solves S (A^T A) S = B^T B, s_inv is its inverse,
-    and ga_inv, gb_inv are (A^T A)^{-1} and (B^T B)^{-1}, each None when
-    it leaves the normal float range (e.g. for (1e-160 A, 1e-160 B), where
-    S is still representable).
+    s solves S (A^T A) S = B^T B and s_inv is its inverse; c_tilde = 2 *
+    sum of the singular values of A @ B.T. ga_inv and gb_inv are
+    (A^T A)^{-1} and (B^T B)^{-1}, each None when it leaves the normal
+    float range (e.g. for (1e-160 A, 1e-160 B), where S is still
+    representable).
     """
 
-    full_rank: bool
     c_tilde: float
-    s: Optional[Array] = None
-    s_inv: Optional[Array] = None
-    ga_inv: Optional[Array] = None
-    gb_inv: Optional[Array] = None
-
-    def require_full_rank(self) -> "Balance":
-        if not self.full_rank:
-            raise RankDeficient("a factor fails the rank criterion "
-                                f"{FULL_RANK_EPS:g}; refactoring is undefined")
-        return self
+    s: Array
+    s_inv: Array
+    ga_inv: Optional[Array]
+    gb_inv: Optional[Array]
 
 
-def _r_factors(f: LowRankFactors) -> Optional[tuple[list[int], Array,
-                                                    Optional[Array]]]:
+_DEFICIENT = (f"a factor fails the rank criterion {FULL_RANK_EPS:g}; "
+              "refactoring is undefined")
+
+
+def _r_factors(f: LowRankFactors) -> tuple[list[int], Array, Array]:
     """Exponents, R-factors and R^{-1} with A = 2^ea Qa Ra, B = 2^eb Qb Rb.
 
     Qa, Qb have orthonormal columns; Ra, Rb (and inverses) come stacked so
     each LAPACK call serves both. The power-of-two scaling keeps the Grams
     clear of overflow and underflow; CholeskyQR2 (two passes of Gram plus
-    Cholesky) makes the error grow as eps * cond, not eps * cond^2. If a
-    Gram is not numerically positive definite, each R is instead a root of
-    its Gram by eigendecomposition and R^{-1} is None. None if non-finite.
+    Cholesky) makes the error grow as eps * cond, not eps * cond^2. Raises
+    RankDeficient for a non-finite factor or a Gram that is not
+    numerically positive definite.
     """
     exps, xs = [], []
     for x in (f.a, f.b):
         peak = max(float(x.max()), -float(x.min()))
         if not np.isfinite(peak):
-            return None
+            raise RankDeficient(_DEFICIENT)
         exps.append(int(np.frexp(peak)[1]))
         xs.append(np.ldexp(x, -exps[-1]))
-    grams = np.stack([x.T @ x for x in xs])
     try:
-        r1 = np.linalg.cholesky(grams).transpose(0, 2, 1)
+        r1 = np.linalg.cholesky(np.stack([x.T @ x for x in xs])).transpose(0, 2, 1)
         r1_inv = np.linalg.inv(r1)
         qs = [x @ ri for x, ri in zip(xs, r1_inv)]
         r2 = np.linalg.cholesky(np.stack([q.T @ q for q in qs])).transpose(0, 2, 1)
-        return exps, r2 @ r1, r1_inv @ np.linalg.inv(r2)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(grams)
-        roots = np.sqrt(np.clip(w, 0.0, None))[..., None] * v.transpose(0, 2, 1)
-        return exps, roots, None
+        raise RankDeficient(_DEFICIENT) from None
+    return exps, r2 @ r1, r1_inv @ np.linalg.inv(r2)
 
 
 def balance(f: LowRankFactors) -> Balance:
@@ -240,28 +236,29 @@ def balance(f: LowRankFactors) -> Balance:
 
     Raises
     ------
+    RankDeficient
+        If a factor is not finite or fails the rank criterion: its Gram is
+        not numerically positive definite, its R-factor's condition
+        estimate reaches 1 / FULL_RANK_EPS, or Ra Rb^T is singular.
     IllConditioned
         If the pair is full rank but S or S^{-1} leaves the normal float
         range. S scales as ||B|| / ||A|| and S^{-1} as its inverse, so
         this happens only once that ratio nears 1e-308 or 1e308, e.g. for
         (1e160 A, 1e-160 B).
     """
-    factors = _r_factors(f)
-    if factors is None:
-        return Balance(False, float("nan"))
-    (ea, eb), r, r_inv = factors
+    (ea, eb), r, r_inv = _r_factors(f)
     ra, rb = r
     u, sigma, _ = np.linalg.svd(ra @ rb.T)
+    # a nan condition estimate compares False, so it counts as deficient
+    if sigma[-1] <= 0.0 or not np.all(
+            np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
+            < 1.0 / FULL_RANK_EPS):
+        raise RankDeficient(_DEFICIENT)
     total = 2.0 * float(np.sum(sigma))
     # decided by exponents, like S below: past the float range c_tilde is
     # inf, its correctly rounded value, and no overflow is signalled
     ct = (math.inf if math.frexp(total)[1] + ea + eb > 1024
           else math.ldexp(total, ea + eb))
-    # a nan condition estimate compares False, so it counts as deficient
-    if r_inv is None or sigma[-1] <= 0.0 or not np.all(
-            np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
-            < 1.0 / FULL_RANK_EPS):
-        return Balance(False, ct)
     ra_inv, rb_inv = r_inv
     half = ra_inv @ (u * np.sqrt(sigma))
     half_inv = (u / np.sqrt(sigma)).T @ ra
@@ -273,7 +270,7 @@ def balance(f: LowRankFactors) -> Balance:
             "S or S^-1 leaves the normal float range: the factors' "
             f"scales differ by about 2^{abs(d)}")
     return Balance(
-        True, ct,
+        ct,
         s=np.ldexp(s, d),
         s_inv=np.ldexp(s_inv, -d),
         ga_inv=_scaled_or_none(ra_inv @ ra_inv.T, -2 * ea),
@@ -293,24 +290,6 @@ def _scaled_in_range(spd: Array, e: int) -> bool:
 def _scaled_or_none(spd: Array, e: int) -> Optional[Array]:
     """2^e * spd, or None if that leaves the normal float range."""
     return np.ldexp(spd, e) if _scaled_in_range(spd, e) else None
-
-
-def geometric_mean_s(f: LowRankFactors) -> Array:
-    """Balanced refactoring matrix: the SPD solution of S (A^T A) S = B^T B.
-
-    This is the matrix geometric mean of (A^T A)^{-1} and B^T B,
-
-        (A^T A)^{-1/2} [ (A^T A)^{1/2} B^T B (A^T A)^{1/2} ]^{1/2} (A^T A)^{-1/2}.
-
-    Right-multiplying A by its square root and B by its inverse square root
-    yields a pair with equal Gram matrices.
-
-    Raises
-    ------
-    RankDeficient
-        If either factor fails the kernel's rank verdict.
-    """
-    return balance(f).require_full_rank().s
 
 
 def g_objective(f: LowRankFactors, s: Array) -> float:
@@ -372,14 +351,12 @@ def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, st
 def optimal_s(k: Balance, eta: float, mode: RefactorMode) -> Preconditioner:
     """S minimizing the loss upper bound, per the configured mode.
 
-    The balanced S of the kernel result `k = balance(f)`, which must be
-    full rank (else RankDeficient), scaled by `_bound_scaling`'s gamma (and
-    S^{-1} by 1/gamma), as the preconditioners (S^{-1}, S).
+    The balanced S of the kernel result `k = balance(f)` scaled by
+    `_bound_scaling`'s gamma (and S^{-1} by 1/gamma), as the
+    preconditioners (S^{-1}, S). On the balanced branch gamma is exactly 1,
+    so the scaling leaves S and S^{-1} bit for bit.
     """
-    k.require_full_rank()
     gamma, branch = _bound_scaling(k.c_tilde, eta, mode)
-    if branch == BRANCH_BALANCED:
-        return Preconditioner(k.s_inv, k.s, branch=branch, c_tilde=k.c_tilde)
     return Preconditioner(k.s_inv / gamma, gamma * k.s, branch=branch,
                           c_tilde=k.c_tilde)
 

@@ -48,7 +48,7 @@ def sample_set():
         m = int(g.integers(r, 65))
         n = int(g.integers(r, 65))
         f = LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
-        pairs.append((f, refactor.geometric_mean_s(f)))
+        pairs.append((f, refactor.balance(f).s))
     return pairs
 
 
@@ -123,7 +123,7 @@ def test_criterion_04_small_eta_branch():
         eta_c = 1.0 / (ct * lip)
         res_b = refactor.optimal_s(refactor.balance(f),
                                    eta_c, RefactorMode(THEOREM_EXACT, lip))
-        s_tilde = refactor.geometric_mean_s(f)
+        s_tilde = refactor.balance(f).s
         worst_boundary = max(worst_boundary,
                              np.linalg.norm(res_b.p_b - s_tilde)
                              / np.linalg.norm(s_tilde))
@@ -222,7 +222,7 @@ def test_criterion_08_dual_path_equivalences():
         grad = g.standard_normal((m, n))
         gp = GradientPair(grad @ f.b, grad.T @ f.a)
         got, _ = optim.reflora_step(f, gp, cfg)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         p = linalg.spd_sqrt(s)
         p_inv = linalg.spd_inv_sqrt(s)
         a_t, b_t = f.a @ p, f.b @ p_inv
@@ -273,7 +273,7 @@ def test_criterion_09_update_is_horizontal():
         n = int(g.integers(r + 1, 33))
         f = LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
         grad = g.standard_normal((m, n))
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         update = (-0.01 * grad @ f.b @ np.linalg.inv(s),
                   -0.01 * grad.T @ f.a @ s)
         worst = max(worst, optim.horizontal_check(f, update))
@@ -292,7 +292,7 @@ def test_criterion_10_first_order_sandwich():
         f = LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
         grad = g.standard_normal((m, n))
         spec2 = linalg.spectral_norm(grad) ** 2
-        for s in (np.eye(r), refactor.geometric_mean_s(f)):
+        for s in (np.eye(r), refactor.balance(f).s):
             s_half = linalg.spd_sqrt(s)
             s_inv_half = linalg.spd_inv_sqrt(s)
             first_order = -eta * (np.sum((grad @ f.b @ s_inv_half) ** 2)

@@ -305,6 +305,27 @@ class TestConfigFile:
             body = read_body(out).splitlines()
             assert body[-1].startswith("4,")
 
+    def test_parser_built_once_and_config_does_not_leak(self, tmp_path,
+                                                         monkeypatch):
+        # the parser is built at import; a config call leaves the next
+        # call of the same command on the table defaults
+        def no_parser(*args, **kwargs):
+            raise AssertionError("cli.main built an ArgumentParser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 9\neta = 0.02\n")
+        dims = ["--steps", "2", "--m", "10", "--n", "8", "--rank", "2"]
+        out = tmp_path / "t.csv"
+        assert run_cli(["mf", "--config", str(config), *dims,
+                        "--out", str(out)]) == 0
+        assert "# seed: 9" in read_header(out)
+        assert run_cli(["mf", *dims, "--out", str(out)]) == 0
+        header = read_header(out)
+        assert "# seed: 0" in header
+        config_line = next(l for l in header if l.startswith("# config: "))
+        assert " eta=0.01 " in config_line and " seed=0 " in config_line
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("stepz = 10\n")
@@ -496,8 +517,6 @@ class TestPropsReport:
         # a kernel that returns S^{-1} as S: S^{-1} is SPD too, so this
         # verifies that the stationarity-type checks bite
         def swap_s(k):
-            if not k.full_rank:
-                return k
             return dataclasses.replace(k, s=k.s_inv, s_inv=k.s)
 
         real = refactor.balance

@@ -130,7 +130,7 @@ class TestRefloraStep:
             cfg = StepConfig(eta=eta, method=optim.METHOD_REFLORA)
             got, _ = optim.reflora_step(f, gp, cfg)
 
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             p = linalg.spd_sqrt(s)
             p_inv = linalg.spd_inv_sqrt(s)
             a_t, b_t = f.a @ p, f.b @ p_inv
@@ -184,7 +184,7 @@ class TestRefloraStep:
                          optimizer=optim.ADAM)
         state = OptimizerState.zeros(6, 5, 2)
         got, new_state = optim.reflora_step(f, gp, cfg, state)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         g_a = gp.g_a @ np.linalg.inv(s)
         g_b = gp.g_b @ s
         want_a, _, _ = optim.adam_update(f.a, g_a, state.m_a, state.v_a, 1, 0.01)
@@ -388,7 +388,7 @@ class TestHorizontalCheck:
         for _ in range(20):
             f = random_factors(rng, 7, 6, 3)
             grad = rng.standard_normal((7, 6))
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             update = (-0.01 * grad @ f.b @ np.linalg.inv(s),
                       -0.01 * grad.T @ f.a @ s)
             assert optim.horizontal_check(f, update) <= 1e-8
@@ -397,7 +397,7 @@ class TestHorizontalCheck:
         f = random_factors(rng, 6, 5, 2)
         x = rng.standard_normal((2, 2))
         update = (f.a @ x, -f.b @ x.T)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         g_norm = np.sqrt(np.sum((update[0] @ s) * update[0])
                          + np.sum((update[1] @ np.linalg.inv(s)) * update[1]))
         got = optim.horizontal_check(f, update)
@@ -417,7 +417,7 @@ class TestTheorem2Sandwich:
             f = random_factors(rng, 8, 6, 3)
             grad = rng.standard_normal((8, 6))
             spec2 = linalg.spectral_norm(grad) ** 2
-            for s in (np.eye(3), refactor.geometric_mean_s(f)):
+            for s in (np.eye(3), refactor.balance(f).s):
                 sh = linalg.spd_sqrt(s)
                 sih = linalg.spd_inv_sqrt(s)
                 first_order = -eta * (np.sum((grad @ f.b @ sih) ** 2)
@@ -430,7 +430,7 @@ class TestTheorem2Sandwich:
         eta = 1e-3
         f = random_factors(rng, 6, 5, 2)
         grad = rng.standard_normal((6, 5))
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         p = linalg.spd_sqrt(s)
         a_t, b_t = f.a @ p, f.b @ linalg.spd_inv_sqrt(s)
         ga_t, gb_t = grad @ b_t, grad.T @ a_t
@@ -452,7 +452,7 @@ class TestBalancePropagation:
             gp = problem.value_and_grad(f)[1]
             f, state = optim.reflora_step(f, gp, cfg, state, t=t)
             if t >= 1:
-                s = refactor.geometric_mean_s(f)
+                s = refactor.balance(f).s
                 a_t = f.a @ linalg.spd_sqrt(s)
                 b_t = f.b @ linalg.spd_inv_sqrt(s)
                 ga = a_t.T @ a_t
@@ -482,7 +482,7 @@ class TestEq4Decomposition:
             f = random_factors(rng, 6, 5, 2)
             grad = rng.standard_normal((6, 5))
             gp = pair_from_dense(f, grad)
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             f_new, _ = optim.reflora_step(f, gp, cfg)
             da, db = -eta * gp.g_a, -eta * gp.g_b
             expect = f.a @ s @ db.T + da @ np.linalg.inv(s) @ f.b.T + da @ db.T

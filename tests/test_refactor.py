@@ -49,23 +49,23 @@ class TestGeometricMean:
         q1 = random_orthogonal(rng, 5)[:, :3]
         q2 = random_orthogonal(rng, 6)[:, :3]
         f = LowRankFactors(q1, q2)  # both Grams are I
-        assert rel_err(refactor.geometric_mean_s(f), np.eye(3)) < 1e-12
+        assert rel_err(refactor.balance(f).s, np.eye(3)) < 1e-12
 
     def test_rank_one_ratio(self):
         a = np.zeros((4, 1)); a[0, 0] = 2.0
         b = np.zeros((3, 1)); b[1, 0] = 6.0
-        s = refactor.geometric_mean_s(LowRankFactors(a, b))
+        s = refactor.balance(LowRankFactors(a, b)).s
         assert s[0, 0] == pytest.approx(3.0, rel=1e-14)
 
     def test_oracle_seeds_5_6(self):
         f = LowRankFactors(GEO_A, GEO_B)
-        assert rel_err(refactor.geometric_mean_s(f), GEO_EXPECTED) < 1e-12
+        assert rel_err(refactor.balance(f).s, GEO_EXPECTED) < 1e-12
 
     def test_stationarity(self):
         g = gen(200)
         for _ in range(100):
             f = random_factors(g, 8, 7, 3)
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             gb = f.b.T @ f.b
             assert rel_err(s @ (f.a.T @ f.a) @ s, gb) <= 1e-8
 
@@ -74,7 +74,7 @@ class TestGeometricMean:
         g = gen(201)
         for _ in range(100):
             f = random_factors(g, 9, 6, 3)
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             ga = f.a.T @ f.a
             alt = np.linalg.solve(ga, linalg.nonsym_psd_sqrt(ga, f.b.T @ f.b))
             assert rel_err(s, alt) <= 1e-9
@@ -83,7 +83,7 @@ class TestGeometricMean:
         g = gen(202)
         for _ in range(100):
             f = random_factors(g, 10, 8, 4)
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             a_t = f.a @ linalg.spd_sqrt(s)
             b_t = f.b @ linalg.spd_inv_sqrt(s)
             ga = a_t.T @ a_t
@@ -94,9 +94,9 @@ class TestGeometricMean:
         for _ in range(50):
             f = random_factors(g, 8, 9, 3)
             p = g.standard_normal((3, 3)) + np.eye(3)
-            s = refactor.geometric_mean_s(f)
-            s_p = refactor.geometric_mean_s(
-                LowRankFactors(f.a @ p, f.b @ np.linalg.inv(p).T))
+            s = refactor.balance(f).s
+            s_p = refactor.balance(
+                LowRankFactors(f.a @ p, f.b @ np.linalg.inv(p).T)).s
             p_inv = np.linalg.inv(p)
             assert rel_err(s_p, p_inv @ s @ p_inv.T) <= 1e-8
 
@@ -104,7 +104,7 @@ class TestGeometricMean:
         a = np.ones((4, 2))  # identical columns
         b = np.arange(6.0).reshape(3, 2)
         with pytest.raises(RankDeficient):
-            refactor.geometric_mean_s(LowRankFactors(a, b))
+            refactor.balance(LowRankFactors(a, b))
 
 
 class TestOptimalS:
@@ -112,7 +112,7 @@ class TestOptimalS:
         f = random_factors(rng, 6, 5, 2)
         res = refactor.optimal_s(refactor.balance(f), 1e-9, RefactorMode())
         assert res.branch == refactor.BRANCH_BALANCED
-        assert rel_err(res.p_b, refactor.geometric_mean_s(f)) == 0.0
+        assert rel_err(res.p_b, refactor.balance(f).s) == 0.0
         assert refactor.g_objective(f, res.p_b) == pytest.approx(res.c_tilde,
                                                                  rel=1e-8)
 
@@ -123,7 +123,7 @@ class TestOptimalS:
         res = refactor.optimal_s(refactor.balance(f),
                                  eta_c, RefactorMode(THEOREM_EXACT, lip))
         assert res.branch == refactor.BRANCH_BALANCED
-        assert rel_err(res.p_b, refactor.geometric_mean_s(f)) < 1e-10
+        assert rel_err(res.p_b, refactor.balance(f).s) < 1e-10
 
     def test_forced_scaling_rank_one(self):
         # unit vectors, a = b: threshold constant 2; L = 1, eta = 1/4
@@ -162,12 +162,11 @@ class TestOptimalS:
                                0.0, RefactorMode(THEOREM_EXACT, 1.0))
 
     def test_rank_deficient_kernel_result_rejected(self):
+        # a deficient pair has no kernel result for optimal_s to take
         f = LowRankFactors(np.ones((4, 2)), np.arange(6.0).reshape(3, 2))
-        k = refactor.balance(f)
-        assert not k.full_rank
-        for mode in (RefactorMode(), RefactorMode(THEOREM_EXACT, 1.0)):
-            with pytest.raises(RankDeficient):
-                refactor.optimal_s(k, 0.01, mode)
+        assert not f.is_full_rank()
+        with pytest.raises(RankDeficient):
+            refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
 
 
 class TestOptimalScalar:
@@ -271,14 +270,14 @@ class TestGObjective:
         g = gen(204)
         for _ in range(100):
             f = random_factors(g, 8, 7, 3)
-            s = refactor.geometric_mean_s(f)
+            s = refactor.balance(f).s
             target = 2.0 * linalg.nuclear_norm(f.a @ f.b.T)
             assert abs(refactor.g_objective(f, s) - target) <= 1e-8 * target
 
     def test_other_spd_is_larger_seed17(self):
         g = gen(17)
         f = random_factors(g, 8, 7, 3)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         floor = 2.0 * linalg.nuclear_norm(f.a @ f.b.T)
         for _ in range(100):
             c = g.standard_normal((3, 3))
@@ -312,7 +311,7 @@ class TestUpperBoundEval:
 
     def test_quadratic_in_grad_norm(self, rng):
         f = random_factors(rng, 5, 4, 2)
-        s = refactor.geometric_mean_s(f)
+        s = refactor.balance(f).s
         b1 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 1.0, 0.0)
         b2 = refactor.upper_bound_eval(f, s, 0.1, 1.0, 2.0, 0.0)
         assert b2 == pytest.approx(4.0 * b1, rel=1e-12)
@@ -353,7 +352,7 @@ class TestKernelContract:
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
         scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
         consumers = [
-            lambda: refactor.geometric_mean_s(f),
+            lambda: refactor.balance(f).s,
             lambda: refactor.optimal_s(refactor.balance(f),
                                        0.01, RefactorMode()).p_b,
             lambda: refactor.optimal_s(
@@ -370,7 +369,7 @@ class TestKernelContract:
                 with pytest.raises(RankDeficient):
                     consumer()
         if full_rank:
-            assert stationarity(f, refactor.geometric_mean_s(f)) <= 1e-8
+            assert stationarity(f, refactor.balance(f).s) <= 1e-8
         assert full_rank == (rho >= 1e-7)
 
     @pytest.mark.parametrize("c", [1e100, 1e-100])
@@ -379,7 +378,7 @@ class TestKernelContract:
         f = random_factors(g, 9, 7, 3)
         scaled = LowRankFactors(c * f.a, c * f.b)
         k, k_c = refactor.balance(f), refactor.balance(scaled)
-        assert k_c.full_rank
+        assert scaled.is_full_rank()
         assert rel_err(k_c.s, k.s) <= 1e-12
         assert rel_err(k_c.s_inv, k.s_inv) <= 1e-12
         assert k_c.c_tilde == pytest.approx(c * c * k.c_tilde, rel=1e-12)
@@ -425,7 +424,7 @@ class TestKernelContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = refactor.balance(f)
-            assert k.full_rank and k.c_tilde == np.inf
+            assert f.is_full_rank() and k.c_tilde == np.inf
             assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
             assert refactor.balance(f).c_tilde == np.inf
             res = refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
@@ -469,7 +468,7 @@ class TestKernelContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = refactor.balance(f)
-            assert k.full_rank
+            assert f.is_full_rank()
             assert (k.ga_inv is None) == (ca < 1e-155)
             assert (k.gb_inv is None) == (cb < 1e-155)
             assert rel_err(k.s * (ca / cb), refactor.balance(f0).s) <= 1e-12
@@ -487,12 +486,24 @@ class TestKernelContract:
             assert rel_err(k.ga_inv @ refactor.gram(f.a), np.eye(3)) <= 1e-12
             assert rel_err(k.gb_inv @ refactor.gram(f.b), np.eye(3)) <= 1e-12
 
-    def test_zero_and_non_finite_factors(self):
+    def test_deficient_pair_raises_before_any_decomposition(self, monkeypatch):
+        # the zero-B pair is every default mf run's warmup pair: its Gram
+        # fails Cholesky, and the verdict needs no eigh or SVD
+        calls = []
+        for name in ("eigh", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
         a = np.arange(6.0).reshape(3, 2) + np.eye(3, 2)
-        k = refactor.balance(LowRankFactors(a, np.zeros((4, 2))))
-        assert not k.full_rank and k.c_tilde == 0.0 and k.s is None
-        k = refactor.balance(LowRankFactors.unchecked(a, np.full((4, 2), np.nan)))
-        assert not k.full_rank and np.isnan(k.c_tilde)
+        for f in (LowRankFactors(a, np.zeros((4, 2))),
+                  LowRankFactors.unchecked(a, np.full((4, 2), np.nan))):
+            with pytest.raises(RankDeficient):
+                refactor.balance(f)
+        assert calls == []
 
     def test_props_congruence_invariance_seeds(self):
         for seed in range(24):
