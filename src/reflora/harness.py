@@ -7,6 +7,7 @@ timing probes. Divergence is data, not an error: a run whose loss blows up
 keeps logging so the curve can be plotted.
 """
 
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
@@ -110,18 +111,24 @@ def balance_gap(f: LowRankFactors) -> float:
     """Relative Gram mismatch ||A^T A - B^T B||_F / ||A^T A||_F of the pair."""
     ga = refactor.gram(f.a)
     gb = refactor.gram(f.b)
-    denom = float(np.linalg.norm(ga))
+    denom = _norm(ga)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(ga - gb) / denom)
+    return _norm(ga - gb) / denom
+
+
+def _norm(x: Array) -> float:
+    """||x||_F by np.linalg.norm(x)'s own formula, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _all_finite(gp: GradientPair, loss: float) -> bool:
     # the factors need no check: every product the loss takes of them turns
     # an inf entry into +-inf or nan, so a non-finite factor makes the loss
     # non-finite and this check latches on it first
-    return bool(np.isfinite(loss)
-                and np.all(np.isfinite(gp.g_a)) and np.all(np.isfinite(gp.g_b)))
+    return bool(math.isfinite(loss)
+                and np.isfinite(gp.g_a).all() and np.isfinite(gp.g_b).all())
 
 
 def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
@@ -151,10 +158,10 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
         return TraceRecord(
             step=t,
             loss=loss,
-            norm_a=float(np.linalg.norm(f.a)),
-            norm_b=float(np.linalg.norm(f.b)),
-            grad_norm_a=float(np.linalg.norm(gp.g_a)),
-            grad_norm_b=float(np.linalg.norm(gp.g_b)),
+            norm_a=_norm(f.a),
+            norm_b=_norm(f.b),
+            grad_norm_a=_norm(gp.g_a),
+            grad_norm_b=_norm(gp.g_b),
             balance_gap=balance_gap(f),
             step_time_ns=last_step_ns,
         )
@@ -422,7 +429,7 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
     preconditioner a step computes (S and S^-1 for the full method, the
     scalar s, the Gram inverses for ScaledGD; for `lora` the entry's
     constant return, a fraction of a microsecond). Every timed call of a
-    refactoring method runs the kernel once, as a step does.
+    refactoring method runs the kernel (ScaledGD: its R-factor stage) once.
     """
     if repeats < 10:
         raise ValueError("repeats must be at least 10")

@@ -7,14 +7,15 @@ warmup fallback to plain GD, and the update rule, GD or the bias-corrected
 Adam / AdamW of `adam_update`.
 
 The stepper never forms the m x n gradient; callers supply the factor
-gradients grad(W) @ B and grad(W).T @ A as a GradientPair. `reflora` and
-`scaledgd` read S, S^{-1} and the inverse Grams from one run of the
-refactor kernel (`refactor.balance`: two Cholesky passes per factor and
-one r x r SVD), so their per-step overhead is O((m + n + r) r^2); the
-scalar variant costs O((m + n) r). Each step runs the kernel once, and
-its result serves both the preconditioner and the warmup check; the
-harness's trace snapshot runs no kernel. All transitions are pure: state
-in, state out; under Adam/AdamW a missing state is zero moments.
+gradients grad(W) @ B and grad(W).T @ A as a GradientPair. `reflora`
+reads S and S^{-1} from one refactor kernel run (`refactor.balance`: two
+CholeskyQR passes and one r x r SVD), `scaledgd` the inverse Grams from
+its R-factor stage alone (two CholeskyQR passes, no SVD), so their
+per-step overhead is O((m + n + r) r^2); the scalar variant costs
+O((m + n) r). Each step runs the kernel once, and its result serves both
+the preconditioner and the warmup check; the harness's trace snapshot
+runs no kernel. All transitions are pure: state in, state out; under
+Adam/AdamW a missing state is zero moments.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import refactor
-from .errors import IllConditioned, RankDeficient, ZeroFactor
+from .errors import RankDeficient, ZeroFactor
 from .linalg import Array
 from .refactor import LowRankFactors, Preconditioner, RefactorMode
 
@@ -137,11 +138,17 @@ _IDENTITY = Preconditioner()
 
 
 def _scaledgd(f: LowRankFactors, cfg: StepConfig) -> Preconditioner:
-    k = refactor.balance(f)
-    if k.ga_inv is None or k.gb_inv is None:
-        raise IllConditioned("an inverse Gram matrix leaves the normal float "
-                             "range; rescale the factors")
-    return Preconditioner(k.gb_inv, k.ga_inv)
+    """((B^T B)^{-1}, (A^T A)^{-1}) from the kernel's R-factor stage alone.
+
+    (A^T A)^{-1} = 2^(-2 ea) Ra^{-1} Ra^{-T}, with no SVD and no S. So it
+    raises RankDeficient by the shared rank criterion, and IllConditioned
+    only when an inverse Gram leaves the normal float range (e.g. for
+    (1e-160 A, B)), never because S or S^{-1} would.
+    """
+    exps, _, r_inv = refactor._r_factors(f)
+    ga_inv, gb_inv = (refactor._scaled(x @ x.T, -2 * e, "an inverse Gram")
+                      for x, e in zip(r_inv, exps))
+    return Preconditioner(gb_inv, ga_inv)
 
 
 METHODS = {
@@ -193,6 +200,10 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
         p, optimizer = _IDENTITY, GD
     if p.p_a is not None:
         g_a, g_b = g_a @ p.p_a, g_b @ p.p_b
+    if optimizer == GD and p.s == 1.0:
+        # rs = 1 below: the rescale is exact, so skipping it keeps the bits
+        return LowRankFactors.unchecked(f.a - cfg.eta * g_a,
+                                        f.b - cfg.eta * g_b), state
     rs = np.sqrt(p.s)
     if optimizer == GD:
         # the rescaled pair's gradients are (g_a / rs, rs g_b)

@@ -93,9 +93,9 @@ class LowRankFactors:
         return self.a @ self.b.T
 
     def is_full_rank(self) -> bool:
-        """The refactor kernel's rank verdict (see FULL_RANK_EPS)."""
+        """The kernel's rank verdict (see FULL_RANK_EPS): its R-factor stage."""
         try:
-            balance(self)
+            _r_factors(self)
         except RankDeficient:
             return False
         return True
@@ -176,17 +176,12 @@ class Balance:
     """The refactor kernel's result for a full-rank factor pair.
 
     s solves S (A^T A) S = B^T B and s_inv is its inverse; c_tilde = 2 *
-    sum of the singular values of A @ B.T. ga_inv and gb_inv are
-    (A^T A)^{-1} and (B^T B)^{-1}, each None when it leaves the normal
-    float range (e.g. for (1e-160 A, 1e-160 B), where S is still
-    representable).
+    sum of the singular values of A @ B.T.
     """
 
     c_tilde: float
     s: Array
     s_inv: Array
-    ga_inv: Optional[Array]
-    gb_inv: Optional[Array]
 
 
 _DEFICIENT = (f"a factor fails the rank criterion {FULL_RANK_EPS:g}; "
@@ -194,21 +189,22 @@ _DEFICIENT = (f"a factor fails the rank criterion {FULL_RANK_EPS:g}; "
 
 
 def _r_factors(f: LowRankFactors) -> tuple[list[int], Array, Array]:
-    """Exponents, R-factors and R^{-1} with A = 2^ea Qa Ra, B = 2^eb Qb Rb.
+    """The kernel's R-factor stage: exponents, R-factors and R^{-1} with
+    A = 2^ea Qa Ra, B = 2^eb Qb Rb, and the rank verdict.
 
     Qa, Qb have orthonormal columns; Ra, Rb (and inverses) come stacked so
     each LAPACK call serves both. The power-of-two scaling keeps the Grams
     clear of overflow and underflow; CholeskyQR2 (two passes of Gram plus
     Cholesky) makes the error grow as eps * cond, not eps * cond^2. Raises
-    RankDeficient for a non-finite factor or a Gram that is not
-    numerically positive definite.
+    RankDeficient for a non-finite factor, a Gram that is not numerically
+    positive definite, or ||R||_F ||R^-1||_F >= 1 / FULL_RANK_EPS.
     """
     exps, xs = [], []
     for x in (f.a, f.b):
         peak = max(float(x.max()), -float(x.min()))
-        if not np.isfinite(peak):
+        if not math.isfinite(peak):
             raise RankDeficient(_DEFICIENT)
-        exps.append(int(np.frexp(peak)[1]))
+        exps.append(math.frexp(peak)[1])
         xs.append(np.ldexp(x, -exps[-1]))
     try:
         r1 = np.linalg.cholesky(np.stack([x.T @ x for x in xs])).transpose(0, 2, 1)
@@ -217,14 +213,21 @@ def _r_factors(f: LowRankFactors) -> tuple[list[int], Array, Array]:
         r2 = np.linalg.cholesky(np.stack([q.T @ q for q in qs])).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
         raise RankDeficient(_DEFICIENT) from None
-    return exps, r2 @ r1, r1_inv @ np.linalg.inv(r2)
+    r, r_inv = r2 @ r1, r1_inv @ np.linalg.inv(r2)
+    # np.linalg.norm(axis=(1, 2))'s formula; a nan estimate counts as deficient
+    rr = np.concatenate((r, r_inv))
+    na, nb, na_inv, nb_inv = np.sqrt(np.add.reduce(rr * rr, axis=(1, 2))).tolist()
+    if not (na * na_inv < 1.0 / FULL_RANK_EPS and nb * nb_inv < 1.0 / FULL_RANK_EPS):
+        raise RankDeficient(_DEFICIENT)
+    return exps, r, r_inv
 
 
 def balance(f: LowRankFactors) -> Balance:
-    """The refactor kernel: S, S^{-1}, c_tilde and the rank verdict.
+    """The refactor kernel: S, S^{-1} and c_tilde of a full-rank pair.
 
-    Each call is one kernel run; a caller that needs the result more than
-    once passes it on. With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
+    Each call is one kernel run, the R-factor stage `_r_factors` and then
+    the balancing stage; a caller that needs the result more than once
+    passes it on. With A = 2^ea Qa Ra and B = 2^eb Qb Rb, one r x r SVD
     Ra Rb^T = U Sigma W^T gives the balanced matrix
 
         S = 2^(eb - ea) Ra^{-1} U Sigma U^T Ra^{-T},
@@ -238,58 +241,45 @@ def balance(f: LowRankFactors) -> Balance:
     ------
     RankDeficient
         If a factor is not finite or fails the rank criterion: its Gram is
-        not numerically positive definite, its R-factor's condition
-        estimate reaches 1 / FULL_RANK_EPS, or Ra Rb^T is singular.
+        not numerically positive definite or its R-factor's condition
+        estimate reaches 1 / FULL_RANK_EPS; or if Ra Rb^T is singular in
+        rounding, which the criterion all but rules out.
     IllConditioned
         If the pair is full rank but S or S^{-1} leaves the normal float
         range. S scales as ||B|| / ||A|| and S^{-1} as its inverse, so
         this happens only once that ratio nears 1e-308 or 1e308, e.g. for
-        (1e160 A, 1e-160 B).
+        (1e160 A, 1e-160 B). ScaledGD runs only the R-factor stage, so it
+        does not raise for S (see `optim._scaledgd`).
     """
     (ea, eb), r, r_inv = _r_factors(f)
     ra, rb = r
     u, sigma, _ = np.linalg.svd(ra @ rb.T)
-    # a nan condition estimate compares False, so it counts as deficient
-    if sigma[-1] <= 0.0 or not np.all(
-            np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
-            < 1.0 / FULL_RANK_EPS):
+    if sigma[-1] <= 0.0:
         raise RankDeficient(_DEFICIENT)
-    total = 2.0 * float(np.sum(sigma))
+    total = 2.0 * float(sigma.sum())
     # decided by exponents, like S below: past the float range c_tilde is
     # inf, its correctly rounded value, and no overflow is signalled
     ct = (math.inf if math.frexp(total)[1] + ea + eb > 1024
           else math.ldexp(total, ea + eb))
-    ra_inv, rb_inv = r_inv
-    half = ra_inv @ (u * np.sqrt(sigma))
-    half_inv = (u / np.sqrt(sigma)).T @ ra
+    root = np.sqrt(sigma)
+    half = r_inv[0] @ (u * root)
+    half_inv = (u / root).T @ ra
     d = eb - ea
-    s, s_inv = half @ half.T, half_inv.T @ half_inv
-    # checked before scaling, so an out-of-range pair never reaches ldexp
-    if not (_scaled_in_range(s, d) and _scaled_in_range(s_inv, -d)):
-        raise IllConditioned(
-            "S or S^-1 leaves the normal float range: the factors' "
-            f"scales differ by about 2^{abs(d)}")
-    return Balance(
-        ct,
-        s=np.ldexp(s, d),
-        s_inv=np.ldexp(s_inv, -d),
-        ga_inv=_scaled_or_none(ra_inv @ ra_inv.T, -2 * ea),
-        gb_inv=_scaled_or_none(rb_inv @ rb_inv.T, -2 * eb))
+    return Balance(ct, _scaled(half @ half.T, d, "S"),
+                   _scaled(half_inv.T @ half_inv, -d, "S^-1"))
 
 
-def _scaled_in_range(spd: Array, e: int) -> bool:
-    """Whether 2^e * spd has a finite, normal largest entry.
+def _scaled(spd: Array, e: int, name: str) -> Array:
+    """2^e * spd, or IllConditioned if that leaves the normal float range.
 
     An SPD matrix's largest entry is on its diagonal; with that entry
     m 2^k (0.5 <= m < 1), 2^e m 2^k is normal and finite exactly when
-    -1021 <= k + e <= 1024.
+    -1021 <= k + e <= 1024, checked before ldexp is reached.
     """
-    return -1021 <= math.frexp(float(spd.diagonal().max()))[1] + e <= 1024
-
-
-def _scaled_or_none(spd: Array, e: int) -> Optional[Array]:
-    """2^e * spd, or None if that leaves the normal float range."""
-    return np.ldexp(spd, e) if _scaled_in_range(spd, e) else None
+    if not -1021 <= math.frexp(float(spd.diagonal().max()))[1] + e <= 1024:
+        raise IllConditioned(f"{name} leaves the normal float range; "
+                             "rescale the factors")
+    return np.ldexp(spd, e)
 
 
 def g_objective(f: LowRankFactors, s: Array) -> float:

@@ -609,30 +609,48 @@ class TestOverheadProbe:
 
 
 class TestKernelRuns:
-    """The refactor kernel runs once per step, and once per bound scan."""
+    """The kernel's R-factor stage runs once per reflora or ScaledGD step,
+    never per trace snapshot, and once per bound scan; only reflora runs
+    its balancing stage, `refactor.balance`."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        runs = []
+        stage = getattr(refactor, name)
+        monkeypatch.setattr(refactor, name,
+                            lambda f: runs.append(f) or stage(f))
+        return runs
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        runs = []
-        kernel = refactor.balance
-        monkeypatch.setattr(refactor, "balance",
-                            lambda f: runs.append(f) or kernel(f))
-        return runs
+        return self.counted(monkeypatch, "_r_factors")
+
+    @pytest.fixture
+    def balancing(self, monkeypatch):
+        return self.counted(monkeypatch, "balance")
 
     @pytest.mark.parametrize("optimizer,log_every",
                              [(optim.GD, 1), (optim.ADAM, 1), (optim.GD, 7)])
-    def test_reflora_one_run_per_iterate(self, runs, optimizer, log_every):
+    def test_reflora_one_run_per_iterate(self, runs, balancing, optimizer,
+                                         log_every):
         # each step runs the kernel once; the trace snapshot never does
         harness.run(mf_spec(iterations=40, optimizer=optimizer,
                             log_every=log_every))
-        assert len(runs) == 40
+        assert len(runs) == len(balancing) == 40
 
     @pytest.mark.parametrize("sigma_b", [0.0, 0.3])
-    def test_scaledgd_warmup_check_shares_the_step_run(self, runs, sigma_b):
+    def test_scaledgd_warmup_check_shares_the_step_run(self, runs, balancing,
+                                                       sigma_b):
         # with B = 0 the t = 0 check fails and a GD step follows; otherwise
-        # ScaledGD steps at t = 0 on the check's run
+        # ScaledGD steps at t = 0 on the check's run. No step balances
         harness.run(mf_spec(method="scaledgd", iterations=40, sigma_b=sigma_b))
         assert len(runs) == 40
+        assert balancing == []
+
+    @pytest.mark.parametrize("method", ["lora", "reflora-s"])
+    def test_snapshots_run_no_stage(self, runs, balancing, method):
+        harness.run(mf_spec(method=method, iterations=40, log_every=1))
+        assert runs == [] and balancing == []
 
     @pytest.mark.parametrize("points", [11, 201])
     def test_bound_scan_one_run(self, runs, points):
@@ -645,3 +663,39 @@ class TestKernelRuns:
         repeats = 10
         harness.overhead_probe([16], [2], repeats=repeats, seed=1)
         assert len(runs) >= 4 * repeats
+
+    def test_snapshot_decomposes_nothing(self, monkeypatch):
+        # a lora run on a built problem: its steps, losses and snapshots
+        # make no svd, cholesky or inv call
+        spec = mf_spec(method="lora", iterations=5)
+        problem = harness.build_problem(spec.instance)
+        calls = []
+        for name in ("svd", "cholesky", "inv", "eigh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _name=name, _real=real, **k:
+                    calls.append(_name) or _real(*a, **k))
+        harness.run(spec, problem)
+        assert calls == []
+
+
+class TestSnapshotNorm:
+    """The snapshot's norm helper is np.linalg.norm bit for bit."""
+
+    def test_layouts_and_scales(self):
+        g = np.random.default_rng(46)
+        base = g.standard_normal((37, 9))
+        cases = [base, np.asfortranarray(base), base.T, base[::2, 1:],
+                 np.zeros((5, 3)), np.zeros(0), -0.0 * base]
+        ro = base.view()
+        ro.flags.writeable = False
+        cases.append(ro)
+        cases += [c * s for c in (base, np.asfortranarray(base), base.T)
+                  for s in (1e150, 1e-150, 1e155, 1e-160)]
+        for x in cases:
+            # at 1e155 the squared norm overflows to inf in both
+            with np.errstate(over="ignore"):
+                got, want = harness._norm(x), np.linalg.norm(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), x.shape

@@ -334,12 +334,18 @@ class TestMethodTable:
         assert p.branch == refactor.BRANCH_BALANCED
         assert p.c_tilde == pytest.approx(2.0 * norm_a * norm_b, rel=1e-14)
 
-    def test_scaledgd_takes_the_inverse_grams(self, rng):
+    def test_scaledgd_takes_the_inverse_grams(self, rng, monkeypatch):
         f = random_factors(rng, 6, 5, 2)
-        k = refactor.balance(f)
+        want_a = np.linalg.inv(refactor.gram(f.b))
+        want_b = np.linalg.inv(refactor.gram(f.a))
+
+        def no_balancing(f):
+            raise AssertionError("ScaledGD ran the balancing stage")
+
+        monkeypatch.setattr(refactor, "balance", no_balancing)
         p = optim.METHODS[optim.METHOD_SCALEDGD](
             f, StepConfig(eta=0.01, method=optim.METHOD_SCALEDGD))
-        assert np.array_equal(p.p_a, k.gb_inv) and np.array_equal(p.p_b, k.ga_inv)
+        assert rel_err(p.p_a, want_a) <= 1e-12 and rel_err(p.p_b, want_b) <= 1e-12
         assert (p.s, p.branch, p.c_tilde) == (1.0, None, None)
 
 
@@ -509,6 +515,65 @@ class TestLapackCalls:
         assert calls
         assert all(shape[-2:] == (8, 8) for _, shape in calls), calls
         assert sum(name in ("svd", "eigh") for name, _ in calls) <= 1
+
+
+    @pytest.mark.parametrize("method,optimizer,budget", [
+        (optim.METHOD_REFLORA, optim.GD, (1, 2, 2)),
+        (optim.METHOD_REFLORA, optim.ADAM, (1, 2, 2)),
+        (optim.METHOD_SCALEDGD, optim.GD, (0, 2, 2)),
+        (optim.METHOD_LORA, optim.GD, (0, 0, 0)),
+        (optim.METHOD_LORA, optim.ADAM, (0, 0, 0)),
+        (optim.METHOD_REFLORA_S, optim.GD, (0, 0, 0)),
+        (optim.METHOD_REFLORA_S, optim.ADAM, (0, 0, 0))])
+    def test_per_step_budget(self, monkeypatch, method, optimizer, budget):
+        # (svd, cholesky, inv) calls in one step: reflora runs both kernel
+        # stages, ScaledGD only the R-factor stage (two stacked CholeskyQR
+        # passes), lora and reflora-s none
+        calls = {"svd": 0, "cholesky": 0, "inv": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        g = gen(44)
+        f = random_factors(g, 40, 30, 4)
+        gp = pair_from_dense(f, g.standard_normal((40, 30)))
+        optim.reflora_step(f, gp, StepConfig(eta=0.01, method=method,
+                                             optimizer=optimizer))
+        assert (calls["svd"], calls["cholesky"], calls["inv"]) == budget
+
+
+class TestUnitRescale:
+    @pytest.mark.parametrize("method", [optim.METHOD_LORA,
+                                        optim.METHOD_REFLORA,
+                                        optim.METHOD_SCALEDGD])
+    def test_gd_step_is_the_rescaled_form_bit_for_bit(self, method):
+        # with s = 1 the stepper skips the rescale by rs = sqrt(s); the
+        # rescaled form with rs = 1 has the same bits, signed zeros,
+        # infinities and nans included
+        g = gen(45)
+        f = random_factors(g, 12, 9, 3)
+        g_a, g_b = g.standard_normal((12, 3)), g.standard_normal((9, 3))
+        if method == optim.METHOD_LORA:
+            f = LowRankFactors.unchecked(f.a * 0.0 - 0.0, f.b)
+            g_a[:3, 0] = [np.inf, -np.inf, np.nan]
+            g_b[0, :] = -0.0
+        for eta in (0.01, 0.3, 1e-300, 1e300):
+            cfg = StepConfig(eta=eta, method=method)
+            p = optim.METHODS[method](f, cfg)
+            assert p.s == 1.0
+            pa = g_a if p.p_a is None else g_a @ p.p_a
+            pb = g_b if p.p_b is None else g_b @ p.p_b
+            rs = np.sqrt(p.s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, _ = optim.reflora_step(f, GradientPair(g_a, g_b), cfg)
+                want_a = rs * f.a - (eta / rs) * pa
+                want_b = f.b / rs - (eta * rs) * pb
+            assert got.a.tobytes() == want_a.tobytes()
+            assert got.b.tobytes() == want_b.tobytes()
 
 
 class TestStepConfig:

@@ -454,9 +454,9 @@ class TestKernelContract:
     @pytest.mark.parametrize("ca,cb", [(1e-160, 1e-160), (1e-160, 1.0),
                                        (1.0, 1e-160)])
     def test_inverse_grams_out_of_range(self, ca, cb):
-        # S is in range but (A^T A)^{-1} or (B^T B)^{-1} is not: the kernel
-        # leaves that inverse None, ScaledGD raises IllConditioned up front
-        # and the refactored step, which does not use it, still works
+        # S is in range but (A^T A)^{-1} or (B^T B)^{-1} is not: ScaledGD
+        # raises IllConditioned up front, and the refactored step, which
+        # does not use them, still works
         g = gen(209)
         f0 = random_factors(g, 9, 7, 3)
         f = LowRankFactors(ca * f0.a, cb * f0.b)
@@ -469,22 +469,81 @@ class TestKernelContract:
             warnings.simplefilter("error")
             k = refactor.balance(f)
             assert f.is_full_rank()
-            assert (k.ga_inv is None) == (ca < 1e-155)
-            assert (k.gb_inv is None) == (cb < 1e-155)
             assert rel_err(k.s * (ca / cb), refactor.balance(f0).s) <= 1e-12
             with pytest.raises(IllConditioned):
                 optim.reflora_step(f, gp, scaledgd, t=5)
             out, _ = optim.reflora_step(f, gp, cfg, t=5)
             assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.b))
 
+    def test_scaledgd_range_contract(self):
+        # (2^k A, 2^-k B) scales (A^T A)^{-1} by 2^-2k, (B^T B)^{-1} by 2^2k
+        # and S by 2^-2k, all exactly while they stay normal. ScaledGD reads
+        # only the inverse Grams, so it raises IllConditioned exactly when
+        # one of them leaves the normal range, whatever S does. With
+        # orthonormal A and kappa(B) = 256, S leaves it first at one end
+        g = gen(211)
+        b = (np.linalg.qr(g.standard_normal((7, 3)))[0]
+             @ np.diag([16.0, 1.0, 1.0 / 16.0]) @ random_orthogonal(g, 3).T)
+        f0 = LowRankFactors(np.linalg.qr(g.standard_normal((9, 3)))[0], b)
+        cfg = StepConfig(eta=0.01, method=optim.METHOD_SCALEDGD)
+        p0 = optim.METHODS[optim.METHOD_SCALEDGD](f0, cfg)
+        k0 = refactor.balance(f0)
+
+        def normal(x, e):
+            return -1021 <= np.frexp(x.diagonal().max())[1] + e <= 1024
+
+        s_only = grams_only = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in [*range(-525, -495), *range(495, 526)]:
+                f = LowRankFactors(np.ldexp(f0.a, k), np.ldexp(f0.b, -k))
+                assert f.is_full_rank()
+                grams_ok = normal(p0.p_b, -2 * k) and normal(p0.p_a, 2 * k)
+                s_ok = normal(k0.s, -2 * k) and normal(k0.s_inv, 2 * k)
+                if grams_ok:
+                    p = optim.METHODS[optim.METHOD_SCALEDGD](f, cfg)
+                    assert np.array_equal(p.p_a, np.ldexp(p0.p_a, 2 * k))
+                    assert np.array_equal(p.p_b, np.ldexp(p0.p_b, -2 * k))
+                else:
+                    with pytest.raises(IllConditioned):
+                        optim.METHODS[optim.METHOD_SCALEDGD](f, cfg)
+                if s_ok:
+                    assert np.array_equal(refactor.balance(f).s,
+                                          np.ldexp(k0.s, -2 * k))
+                else:
+                    with pytest.raises(IllConditioned):
+                        refactor.balance(f)
+                s_only += grams_ok and not s_ok
+                grams_only += s_ok and not grams_ok
+        # the grid crosses both ends of the range, and on it ScaledGD steps
+        # where S has left the range and raises where S has not
+        assert s_only > 0 and grams_only > 0
+
     def test_inverses_and_root(self):
         g = gen(207)
+        cfg = StepConfig(eta=0.01, method=optim.METHOD_SCALEDGD)
         for _ in range(20):
             f = random_factors(g, 10, 8, 3)
             k = refactor.balance(f)
+            p = optim.METHODS[optim.METHOD_SCALEDGD](f, cfg)
             assert rel_err(k.s @ k.s_inv, np.eye(3)) <= 1e-12
-            assert rel_err(k.ga_inv @ refactor.gram(f.a), np.eye(3)) <= 1e-12
-            assert rel_err(k.gb_inv @ refactor.gram(f.b), np.eye(3)) <= 1e-12
+            assert rel_err(p.p_b @ refactor.gram(f.a), np.eye(3)) <= 1e-12
+            assert rel_err(p.p_a @ refactor.gram(f.b), np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 8, 13])
+    def test_stacked_rank_norms_match_linalg_norm(self, r):
+        # the rank test's one stacked reduction over (R, R^-1) is
+        # np.linalg.norm(axis=(1, 2)) bit for bit, so the verdict holds
+        g = gen(212 + r)
+        for scale in (1.0, 1e-150, 1e150):
+            f = random_factors(g, 3 * r, 2 * r + 1, r)
+            f = LowRankFactors(scale * f.a, f.b / scale)
+            _, rf, rf_inv = refactor._r_factors(f)
+            rr = np.concatenate((rf, rf_inv))
+            got = np.sqrt(np.add.reduce(rr * rr, axis=(1, 2)))
+            want = np.concatenate((np.linalg.norm(rf, axis=(1, 2)),
+                                   np.linalg.norm(rf_inv, axis=(1, 2))))
+            assert got.tobytes() == want.tobytes()
 
     def test_deficient_pair_raises_before_any_decomposition(self, monkeypatch):
         # the zero-B pair is every default mf run's warmup pair: its Gram
@@ -544,3 +603,19 @@ class TestLowRankFactors:
         assert f.is_full_rank()
         tiny = LowRankFactors(np.hstack([f.a[:, :1], f.a[:, :1] * 1e-14]), f.b)
         assert not tiny.is_full_rank()
+
+    def test_full_rank_verdict_where_s_leaves_the_range(self, rng, monkeypatch):
+        # S of (1e160 A, 1e-160 B) leaves the float range, but the verdict
+        # is the R-factor stage's: True, with no SVD
+        f0 = random_factors(rng, 9, 7, 3)
+        f = LowRankFactors(1e160 * f0.a, 1e-160 * f0.b)
+        with pytest.raises(IllConditioned):
+            refactor.balance(f)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the rank verdict ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.is_full_rank()
