@@ -17,9 +17,9 @@ Each instance exists once, as the data dataclass `make_*` returns next to
 its problem: the problem is the loss over that instance and holds it as
 `inst`. `make_mf` is matrix-free as well: it draws the top singular values
 from the bidiagonal model of a Gaussian matrix and the singular vectors as
-Haar frames, in O((m + n) r) memory plus one small tridiagonal block. The
-dense Y exists only on demand, as `MfInstance.y`, for the dense reference
-path and the tests.
+Haar frames, in O((m + n) r) memory plus one square block of that model.
+The dense Y exists only on demand, as `MfInstance.y`, for the dense
+reference path and the tests.
 """
 
 from dataclasses import dataclass
@@ -192,8 +192,8 @@ def make_mf(m: int, n: int, r: int, seed: int
       Notices AMS 2007).
 
     Y = U_r diag(sigma) V_r^T is formed only when `y` is read. Memory is
-    O((m + n) r + k^2), where k <= min(m, n) is the order of the last
-    tridiagonal block decomposed (256 at 1024 x 1024, r = 8).
+    O((m + n) r + k^2), where k <= min(m, n) is the order of the last block
+    decomposed: 256 at 1024 x 1024 with r = 8, min(m, n) at 128 x 100.
     """
     if r > min(m, n) or m < 1 or n < 1:
         raise ValueError(f"invalid dims m={m}, n={n}, r={r}")
@@ -223,25 +223,29 @@ def _top_singular_values(gen: np.random.Generator, p: int, q: int, r: int
     entry times the last component. Once that is at most eps * lam_1 for
     each of the top r pairs, T has an eigenvalue that close to each one
     (the symmetric residual bound; Parlett, The Symmetric Eigenvalue
-    Problem). At k = q the block is T itself.
+    Problem). The last block, k = q, is B itself, as is the first once
+    max(64, 2r) >= q / 2; its SVD gives every singular value to full
+    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990).
     """
     d = np.sqrt(gen.chisquare(np.arange(p, p - q, -1, dtype=float)))
     e = np.sqrt(gen.chisquare(np.arange(q - 1, 0, -1, dtype=float)))
     eps = np.finfo(float).eps
-    k = min(q, max(64, 2 * r))
-    while True:
+    k = max(64, 2 * r) if max(128, 4 * r) < q else q
+    while k < q:
         t = np.zeros((k, k))
         diag = d[:k] * d[:k]
         diag[1:] += e[:k - 1] * e[:k - 1]
         t.flat[::k + 1] = diag
         t.flat[1::k + 1] = t.flat[k::k + 1] = d[:k - 1] * e[:k - 1]
-        if k == q:
-            return np.sqrt(np.linalg.eigvalsh(t)[:-r - 1:-1])
         lam, x = np.linalg.eigh(t)
         lam, last = lam[:-r - 1:-1], x[-1, :-r - 1:-1]
         if np.all(d[k - 1] * e[k - 1] * np.abs(last) <= eps * lam[0]):
             return np.sqrt(lam)
         k = min(q, 2 * k)
+    b = np.zeros((q, q))
+    b.flat[::q + 1] = d
+    b.flat[1::q + 1] = e
+    return np.linalg.svd(b, compute_uv=False)[:r]
 
 
 def _haar_frame(gen: np.random.Generator, d: int, r: int) -> Array:

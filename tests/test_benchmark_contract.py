@@ -7,9 +7,10 @@ perfbench/worker.py measures `problem.loss_at_factors(f)` on the result and
 drives `reflora.cli.main(argv)`. A refactor that changes any of these
 breaks the benchmark, so they are pinned here. perfbench/workloads.py
 checks each operation's output, including convergence of the members it
-marks; the mf-large gate is pinned here too, so a change of the instance
-cannot break it unnoticed. perfbench/selftest.py, run before every
-benchmark run, requires a `reflora mf` run to execute `optim.reflora_step`.
+marks; the mf-large and mf-small gates are pinned here too, so a change of
+the instance cannot break them unnoticed. perfbench/selftest.py, run before
+every benchmark run, requires a `reflora mf` run to execute
+`optim.reflora_step`.
 """
 
 import contextlib
@@ -88,6 +89,25 @@ def test_mf_large_reflora_converges(seed):
     outcome = workloads.check(op, code, out.getvalue())
     assert outcome.errors == []
     assert outcome.steps_to_tol["reflora.gd"] <= workloads.MF_LARGE_STEPS
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mf_small_converging_members_converge(seed):
+    # the mf-small correctness gate: every member the workload marks as
+    # converging must reach TOL x its initial loss within the run, and every
+    # output check must pass; the unmarked members are not run here
+    workloads = load_perfbench("workloads")
+    ops = [op for op in workloads.build("mf-small", seed).ops
+           if op.members[0].converges]
+    assert ops
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(op.argv))
+        outcome = workloads.check(op, code, out.getvalue())
+        assert outcome.errors == []
+        key = op.members[0].key
+        assert outcome.steps_to_tol[key] <= workloads.MF_SMALL_STEPS
 
 
 @pytest.mark.parametrize("method", list(optim.METHODS))
