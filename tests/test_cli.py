@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from reflora import cli, harness, problems, refactor
+from reflora import cli, harness, problems, props, refactor
 
 from test_harness import reference_csv
 
@@ -515,18 +515,45 @@ class TestPropsReport:
 
     def test_injected_fault_fails_stationarity(self, tmp_path, monkeypatch):
         # a kernel that returns S^{-1} as S: S^{-1} is SPD too, so this
-        # verifies that the stationarity-type checks bite
+        # verifies that the stationarity-type checks bite, and pins which
+        # rows see the fault so a weakened row fails this test
         def swap_s(k):
             return dataclasses.replace(k, s=k.s_inv, s_inv=k.s)
 
         real = refactor.balance
         monkeypatch.setattr(refactor, "balance", lambda f: swap_s(real(f)))
         out = tmp_path / "props.txt"
-        code = run_cli(["props-report", "--trials", "5", "--out", str(out)])
+        code = run_cli(["props-report", "--trials", "5", "--seed", "0",
+                        "--out", str(out)])
         assert code == 1
-        line = next(l for l in out.read_text().splitlines()
-                    if l.startswith("refactor.stationarity"))
-        assert "FAIL" in line
+        failing = {line.split()[0] for line in read_body(out).splitlines()
+                   if line.endswith("FAIL")}
+        assert failing == {"refactor.balance", "refactor.stationarity",
+                           "refactor.gram_product_form", "refactor.minimality",
+                           "refactor.congruence_invariance",
+                           "optim.balance_propagation"}
+
+    def test_crashed_row_fails_alone(self, tmp_path, monkeypatch):
+        # a row whose residual raises reads as a failure under its own name;
+        # the rows after it still run and the table keeps all its rows
+        def boom(gen):
+            raise ZeroDivisionError
+
+        rows = list(props.INVARIANTS)
+        crashed = rows[9].name
+        rows[9] = dataclasses.replace(rows[9], residual=boom)
+        monkeypatch.setattr(props, "INVARIANTS", tuple(rows))
+        out = tmp_path / "props.txt"
+        assert run_cli(["props-report", "--trials", "5",
+                        "--out", str(out)]) == 1
+        table = read_body(out).splitlines()
+        assert table[-1] == "17/18 invariants pass"
+        body = table[1:-1]
+        assert len(body) == 18
+        assert body[9].split() == [crashed, "(ZeroDivisionError)",
+                                   "inf", "0.000e+00", "FAIL"]
+        for row, line in zip(rows[10:], body[10:]):
+            assert line.split()[0] == row.name and line.endswith("pass")
 
     def test_single_trial_fast_subset(self, tmp_path):
         out = tmp_path / "props.txt"

@@ -565,9 +565,10 @@ class TestKernelContract:
         assert calls == []
 
     def test_props_congruence_invariance_seeds(self):
+        row = next(inv for inv in props.INVARIANTS
+                   if inv.name == "refactor.congruence_invariance")
         for seed in range(24):
-            res = props.check_congruence_invariance(
-                rng.stream(seed, rng.STREAM_PROPS), 200)
+            res = props.evaluate(row, rng.stream(seed, rng.STREAM_PROPS), 200)
             assert res.passed, (seed, res.residual)
 
 
