@@ -45,15 +45,17 @@ class Invariant:
 
 def evaluate(inv: Invariant, gen: np.random.Generator, trials: int) -> PropResult:
     """The worst residual of `inv` over max(trials // trials_per_draw, 1)
-    draws from gen. A crash counts as a failed invariant: the row reads
-    `<name> (<ExceptionType>)` with residual inf."""
+    draws from gen. A nan residual is the worst and fails the row. A crash
+    counts as a failed invariant: the row reads `<name> (<ExceptionType>)`
+    with residual inf."""
     worst = 0.0
     try:
         for _ in range(max(trials // inv.trials_per_draw, 1)):
-            worst = max(worst, inv.residual(gen))
+            # np.maximum keeps a nan, where max(0.0, nan) reads 0.0
+            worst = np.maximum(worst, inv.residual(gen))
     except Exception as exc:
         return PropResult(f"{inv.name} ({type(exc).__name__})", float("inf"), 0.0)
-    return PropResult(inv.name, worst, inv.tolerance)
+    return PropResult(inv.name, float(worst), inv.tolerance)
 
 
 def random_spd(gen: np.random.Generator, dim: int) -> Array:

@@ -4,6 +4,8 @@ Rows keep their names and order, tolerances are only ever tightened, and
 `run_all` is `evaluate` on a fresh props stream per row.
 """
 
+import math
+
 import pytest
 
 from reflora import props, rng
@@ -47,3 +49,15 @@ def test_run_all_is_evaluate_per_row(seed, trials):
     assert props.run_all(seed, trials) == [
         props.evaluate(inv, rng.stream(seed, rng.STREAM_PROPS), trials)
         for inv in props.INVARIANTS]
+
+
+@pytest.mark.parametrize("draws", [
+    [float("nan")],
+    [1e-20, float("nan"), 1e-20],
+])
+def test_nan_residual_fails_its_row(draws):
+    residuals = iter(draws)
+    inv = props.Invariant("x", 1e-12, lambda g: next(residuals))
+    result = props.evaluate(inv, rng.stream(0, rng.STREAM_PROPS), len(draws))
+    assert math.isnan(result.residual)
+    assert not result.passed
