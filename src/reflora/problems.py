@@ -17,7 +17,8 @@ Each instance exists once, as the data dataclass `make_*` returns next to
 its problem: the problem is the loss over that instance and holds it as
 `inst`. `make_mf` is matrix-free as well: it draws the top singular values
 from the bidiagonal model of a Gaussian matrix and the singular vectors as
-Haar frames, in O((m + n) r) memory plus the solve of that model.
+Haar frames, in O((m + n) r) memory plus the SVD of a leading block of
+that model.
 The dense Y exists only on demand, as `MfInstance.y`, for the dense
 reference path and the tests.
 """
@@ -192,11 +193,8 @@ def make_mf(m: int, n: int, r: int, seed: int
       Notices AMS 2007).
 
     Y = U_r diag(sigma) V_r^T is formed only when `y` is read. Memory is
-    O((m + n) r) plus, for sigma, either O(k r M) for the bisection of a
-    leading block of order k with M shifts per value (k = 160, M r = 256
-    at 1024 x 1024 with r = 8) or O(q^2) for the one bidiagonal SVD taken
-    otherwise: at q <= max(128, 4r), such as 128 x 100, or when no
-    leading block certifies.
+    O((m + n) r) plus O(k^2) for the SVD of a leading bidiagonal block of
+    order k: k = 160 at 1024 x 1024 with r = 8, k = q = 100 at 128 x 100.
     """
     if r > min(m, n) or m < 1 or n < 1:
         raise ValueError(f"invalid dims m={m}, n={n}, r={r}")
@@ -219,100 +217,41 @@ def _top_singular_values(gen: np.random.Generator, p: int, q: int, r: int
     Edelman, J. Math. Phys. 2002). Its singular values are the square
     roots of the eigenvalues of the tridiagonal T = B^T B.
 
-    The top eigenvectors of T live in its leading rows, where the entries
-    are largest, so when q > max(128, 4r) only a leading block T_k is
-    solved, by Sturm bisection (`_tridiagonal_top`), to 2 eps ||T_k||
-    absolute. An eigenpair (lam, x) of T_k, padded with zeros, has
-    residual |b_{k-1}| |x_{k-1}| in T (0-based): the one coupling entry
-    times the last component, which `_tail_certified` bounds from lam
-    alone. Once that is at most eps * lam_1 for each of the top r pairs,
-    T has an eigenvalue that close to each one (the symmetric residual
-    bound; Parlett, The Symmetric Eigenvalue Problem). The first block has
-    k = max(64, 2r). After a block fails, the next is the shallowest, in
-    steps of 32, whose tail bound passes at the failed block's lam, but
-    at most 4k deep, because the lowest of those lam may still lie far
-    from T's. No step calls LAPACK, so no BLAS worker thread wakes, and
-    memory is O(k r M) for M shifts per eigenvalue (M r is about 256).
-
-    The last block, k = q, is B itself, as is the first once
-    max(64, 2r) >= q / 2; its SVD gives every singular value to full
-    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990).
+    Column j of B touches only rows j - 1 and j, so the leading block T_k
+    of T is B_k^T B_k for the leading block B_k of B. Each pass takes the
+    SVD of one B_k, which gives every singular value to full relative
+    accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990). The top
+    eigenvectors of T live in its leading rows, where the entries are
+    largest, so when q > max(128, 4r) the first block has k = max(64, 2r)
+    and later ones stop short of q once certified. An eigenpair
+    (lam, x) of T_k, padded with zeros, has residual |b_{k-1}| |x_{k-1}|
+    in T (0-based): the one coupling entry times the last component,
+    which `_tail_certified` bounds from lam alone. Once that is at most
+    eps * lam_1 for each of the top r pairs, T has an eigenvalue that
+    close to each one (the symmetric residual bound; Parlett, The
+    Symmetric Eigenvalue Problem). After a block fails, the next is the
+    shallowest, in steps of 32, whose tail bound passes at the failed
+    block's lam, but at most 4k deep, because the lowest of those lam may
+    still lie far from T's. The last block, k = q, is B itself.
     """
     d = np.sqrt(gen.chisquare(np.arange(p, p - q, -1, dtype=float)))
     e = np.sqrt(gen.chisquare(np.arange(q - 1, 0, -1, dtype=float)))
+    # T = B^T B: diagonal a, off-diagonal b (b[k - 1] couples T_k to T)
+    a = d * d
+    a[1:] += e * e
+    b = d[:-1] * e
     k = max(64, 2 * r) if max(128, 4 * r) < q else q
-    if k < q:
-        # T = B^T B: diagonal a, off-diagonal b (b[k - 1] couples T_k to T)
-        a = d * d
-        a[1:] += e * e
-        b = d[:-1] * e
-        while k < q:
-            lam = _tridiagonal_top(a[:k], b[:k - 1], r)
-            if _tail_certified(a, b, k, lam):
-                return np.sqrt(lam)
-            cap = min(q, 4 * k)
-            k = next((j for j in range(k + 32, cap, 32)
-                      if _tail_certified(a, b, j, lam)), cap)
-    bidiag = np.zeros((q, q))
-    bidiag.flat[::q + 1] = d
-    bidiag.flat[1::q + 1] = e
-    return np.linalg.svd(bidiag, compute_uv=False)[:r]
-
-
-def _count_below(a: Array, b2: Array, shifts: Array) -> Array:
-    """For each shift s, the number of eigenvalues below s of the symmetric
-    tridiagonal with diagonal a and squared off-diagonal b2 (all nonzero).
-
-    The pivots of the LDL^T factorization of T - s I,
-    q_i = (a_i - s) - b2_{i-1} / q_{i-1}, are as many negative as T has
-    eigenvalues below s (Sylvester's law of inertia). A pivot of +0 makes
-    the next one -inf, and the one after it a_i - s again, and a pivot
-    counts by its sign bit; in IEEE arithmetic this count is monotone in
-    s (Demmel, Dhillon & Ren, ETNA 1995). The pivots are kept as one
-    len(a) x len(shifts) array.
-    """
-    piv = np.subtract.outer(a, shifts)
-    rows = list(piv)
-    with np.errstate(divide="ignore", over="ignore"):
-        for prev, row, c in zip(rows, rows[1:], b2.tolist()):
-            row -= c / prev
-    return np.count_nonzero(np.signbit(piv), axis=0)
-
-
-def _tridiagonal_top(a: Array, b: Array, r: int) -> Array:
-    """The top r eigenvalues, descending, of the symmetric tridiagonal with
-    diagonal a and off-diagonal b, each bracketed to 2 eps ||T|| absolute.
-
-    Each eigenvalue is multisected from the Gershgorin interval, padded by
-    k eps ||T|| for the rounding of the counts: a pass counts at evenly
-    spaced shifts inside its bracket and keeps the bracket between the
-    last shift below the eigenvalue and the first above. About 256 shifts
-    go into each pass: the first pass spreads them over the interval all
-    r brackets share, later ones split each bracket max(4, 256 // r)-fold.
-    """
-    k = len(a)
-    eps = np.finfo(float).eps
-    radius = np.zeros(k)
-    radius[:-1] += np.abs(b)
-    radius[1:] += np.abs(b)
-    low, high = np.min(a - radius), np.max(a + radius)
-    norm = max(-low, high)
-    pad = k * eps * norm
-    index = np.arange(k - 1, k - 1 - r, -1)[:, None]
-    rows = np.arange(r)
-    b2 = b * b
-    lo, hi = np.array([low - pad]), np.array([high + pad])
-    split = max(4, 256 // r)
-    frac = np.arange(1, split * r) / (split * r)
-    while np.max(hi - lo) > 2 * eps * norm:
-        s = lo[:, None] + (hi - lo)[:, None] * frac
-        n = np.count_nonzero(_count_below(a, b2, s.ravel()).reshape(s.shape)
-                             <= index, axis=1)
-        s = np.broadcast_to(s, (r, len(frac)))
-        lo = np.where(n > 0, s[rows, n - 1], lo)
-        hi = np.where(n < len(frac), s[rows, np.minimum(n, len(frac) - 1)], hi)
-        frac = np.arange(1, split) / split
-    return 0.5 * (lo + hi)
+    while True:
+        bidiag = np.zeros((k, k))
+        bidiag.flat[::k + 1] = d[:k]
+        bidiag.flat[1::k + 1] = e[:k - 1]
+        sigma = np.linalg.svd(bidiag, compute_uv=False)[:r]
+        lam = sigma * sigma
+        if k == q or _tail_certified(a, b, k, lam):
+            return sigma
+        cap = min(q, 4 * k)
+        k = next((j for j in range(k + 32, cap, 32)
+                  if _tail_certified(a, b, j, lam)), cap)
 
 
 def _tail_certified(a: Array, b: Array, k: int, lam: Array) -> bool:
