@@ -10,8 +10,7 @@ trace-emitting experiment harness.
 
 __version__ = "0.1.0"
 
-from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
-                     RefloraError, ZeroFactor)
+from .errors import IllConditioned, RankDeficient, RefloraError
 from .refactor import (Balance, LowRankFactors, Preconditioner, RefactorMode,
                        balance, g_objective, optimal_s, optimal_scalar,
                        upper_bound_eval)
@@ -24,8 +23,7 @@ from .harness import (BoundScanSpec, RunResult, RunSpec, TraceRecord,
 
 __all__ = [
     "__version__",
-    "RefloraError", "NonSpdInput", "IllConditioned", "RankDeficient",
-    "ZeroFactor", "InvalidEta",
+    "RefloraError", "IllConditioned", "RankDeficient",
     "LowRankFactors", "RefactorMode", "Preconditioner", "Balance", "balance",
     "optimal_s", "optimal_scalar", "g_objective", "upper_bound_eval",
     "GradientPair", "OptimizerState", "StepConfig",

@@ -1,29 +1,23 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each failure has one type: a bad argument is a ValueError, a pair that
+cannot be refactored is RankDeficient, and a result outside the float
+range is IllConditioned.
+"""
 
 
 class RefloraError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NonSpdInput(RefloraError):
-    """A matrix expected to be symmetric positive definite is not."""
-
-
 class IllConditioned(RefloraError):
-    """A result is not representable in floating point: an eigenvalue
-    spread too extreme to invert safely (usually a factor lost full column
-    rank), or a refactoring matrix S or S^-1 outside the normal float
-    range (factor scales too far apart)."""
+    """A result is not representable in floating point: a refactoring
+    matrix S or S^-1, or a ScaledGD inverse Gram, outside the normal float
+    range (factor scales too far apart), or an SPD matrix whose eigenvalue
+    spread is too extreme for `linalg.spd_inv_sqrt` to invert safely."""
 
 
 class RankDeficient(RefloraError):
-    """A low-rank factor no longer has full column rank."""
-
-
-class ZeroFactor(RefloraError):
-    """A factor has zero Frobenius norm where a positive norm is required."""
-
-
-class InvalidEta(RefloraError):
-    """Learning rate value for which the requested computation is undefined
-    (the bound minimizer has a jump discontinuity at eta = 0)."""
+    """A factor pair cannot be refactored: a factor fails the rank
+    criterion, or, for the scalar variant, has zero Frobenius norm (the
+    rank-0 case of the same failure)."""

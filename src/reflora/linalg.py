@@ -7,7 +7,7 @@ through a symmetric eigendecomposition. All are pure float64 functions.
 
 import numpy as np
 
-from .errors import IllConditioned, NonSpdInput
+from .errors import IllConditioned
 
 Array = np.ndarray
 
@@ -38,16 +38,17 @@ def _spd_eigh(m: Array, name: str) -> tuple[Array, Array]:
     """Eigendecomposition of a symmetric matrix expected to be SPD.
 
     Returns ascending eigenvalues and orthonormal eigenvectors. Raises
-    NonSpdInput on asymmetry or a non-positive spectrum.
+    ValueError on a non-square or asymmetric matrix or a non-positive
+    spectrum.
     """
     m = check_finite(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSpdInput(f"{name} is not square: shape {m.shape}")
+        raise ValueError(f"{name} is not square: shape {m.shape}")
     if not is_symmetric(m):
-        raise NonSpdInput(f"{name} is not symmetric within tolerance {SPD_EPS:g}")
+        raise ValueError(f"{name} is not symmetric within tolerance {SPD_EPS:g}")
     w, v = np.linalg.eigh(sym(m))
     if w[0] <= 0.0:
-        raise NonSpdInput(
+        raise ValueError(
             f"{name} is not positive definite: lambda_min={w[0]:.3e}"
         )
     return w, v
@@ -67,7 +68,7 @@ def spd_inv_sqrt(m: Array) -> Array:
 
     Raises
     ------
-    NonSpdInput
+    ValueError
         If `m` fails the symmetry or positivity check.
     IllConditioned
         If lambda_min / lambda_max < 1e-14; inverting such a matrix would

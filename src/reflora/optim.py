@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import refactor
-from .errors import RankDeficient, ZeroFactor
+from .errors import RankDeficient
 from .linalg import Array
 from .refactor import LowRankFactors, Preconditioner, RefactorMode
 
@@ -77,6 +77,9 @@ class StepConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.method == METHOD_SCALEDGD and self.optimizer != GD:
+            raise ValueError("scaledgd is a plain-GD baseline, not for "
+                             f"optimizer {self.optimizer!r}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be nonnegative")
         if not np.isfinite(self.weight_decay):
@@ -178,10 +181,11 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     1/sqrt(s) and 1/s and the B-moments by sqrt(s) and s. Without a
     `state`, Adam starts from zero moments.
 
-    A pair the method cannot precondition (RankDeficient; ZeroFactor for
-    `reflora-s`) takes a plain GD step within the first `cfg.warmup_steps`
-    iterations, leaving the optimizer state unchanged; past warmup it is an
-    error. `lora` never needs full rank.
+    A pair the method cannot precondition (RankDeficient: a factor fails
+    the rank criterion, or has zero norm under `reflora-s`) takes a plain
+    GD step within the first `cfg.warmup_steps` iterations, leaving the
+    optimizer state unchanged; past warmup it is an error. `lora` never
+    needs full rank.
 
     The new pair is built unchecked: it is this arithmetic on a validated
     pair and shape-checked gradients, so its shapes hold, and an entry that
@@ -193,9 +197,9 @@ def reflora_step(f: LowRankFactors, grad_w_times: GradientPair,
     optimizer = cfg.optimizer
     try:
         p = METHODS[cfg.method](f, cfg)
-    except (RankDeficient, ZeroFactor) as exc:
+    except RankDeficient as exc:
         if t >= cfg.warmup_steps:
-            raise type(exc)(f"{exc} (iteration {t}, past warmup)") from None
+            raise RankDeficient(f"{exc} (iteration {t}, past warmup)") from None
         # warmup: plain GD, even under Adam, with the state left unchanged
         p, optimizer = _IDENTITY, GD
     if p.p_a is not None:

@@ -23,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (IllConditioned, InvalidEta, NonSpdInput, RankDeficient,
-                     ZeroFactor)
+from .errors import IllConditioned, RankDeficient
 from .linalg import Array, sym
 
 # The library's one rank criterion: a factor counts as rank-deficient when
@@ -287,7 +286,7 @@ def g_objective(f: LowRankFactors, s: Array) -> float:
 
     Evaluated through traces, tr(A^T A S) + tr(B^T B S^{-1}) (see
     `_g_terms`), so no matrix root is formed; a non-SPD S raises
-    NonSpdInput. Always at least twice the nuclear norm of A @ B.T, with
+    ValueError. Always at least twice the nuclear norm of A @ B.T, with
     equality exactly at the geometric mean.
     """
     t_a, t_b = _g_terms(f, s)
@@ -299,17 +298,17 @@ def _g_terms(f: LowRankFactors, s: Array) -> tuple[float, float]:
 
     The second comes from the Cholesky factor of S. Since
     g(gamma S) = gamma tr(A^T A S) + tr(B^T B S^{-1}) / gamma, one call
-    gives g along the whole ray gamma S. A non-SPD S raises NonSpdInput.
+    gives g along the whole ray gamma S. A non-SPD S raises ValueError.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (f.r, f.r):
         raise ValueError(f"S has shape {s.shape}, expected {(f.r, f.r)}")
     if not linalg.is_symmetric(s):
-        raise NonSpdInput("S is not symmetric")
+        raise ValueError("S is not symmetric")
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError:
-        raise NonSpdInput("S is not positive definite") from None
+        raise ValueError("S is not positive definite") from None
     # tr(B^T B S^{-1}) = ||L^{-1} B^T||_F^2 for S = L L^T
     return float(np.sum(gram(f.a) * s)), float(np.sum((l_inv @ f.b.T) ** 2))
 
@@ -328,7 +327,7 @@ def _bound_scaling(ct: float, eta: float, mode: RefactorMode) -> tuple[float, st
     if mode.kind == BALANCED:
         return 1.0, BRANCH_BALANCED
     if eta == 0.0:
-        raise InvalidEta("eta = 0 is a jump discontinuity of the bound minimizer")
+        raise ValueError("eta = 0 is a jump discontinuity of the bound minimizer")
     if eta < 0.0 or eta >= 1.0 / (ct * mode.lipschitz):
         return 1.0, BRANCH_BALANCED
     x = 1.0 / (ct * mode.lipschitz * eta)
@@ -362,7 +361,7 @@ def optimal_scalar(f: LowRankFactors, eta: float, mode: RefactorMode) -> Precond
     a2 = float(np.sum(f.a * f.a))
     b2 = float(np.sum(f.b * f.b))
     if a2 == 0.0 or b2 == 0.0:
-        raise ZeroFactor("both factors must have positive Frobenius norm")
+        raise RankDeficient("both factors must have positive Frobenius norm")
     norm_a = np.sqrt(a2)
     norm_b = np.sqrt(b2)
     ct = 2.0 * norm_a * norm_b

@@ -72,6 +72,20 @@ class TestMfSubcommand:
         assert code == 2
         assert "--optimizer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,reason", [
+        ("reflora", "rank criterion"),
+        ("reflora-s", "positive Frobenius norm"),
+    ])
+    def test_degenerate_start_past_warmup_exits_1(self, capsys, method,
+                                                  reason):
+        # B = 0 at t = 0 with no warmup: one failure, one type, exit 1
+        code = run_cli(["mf", "--method", method, "--warmup", "0", "--m", "8",
+                        "--n", "6", "--rank", "2", "--steps", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("reflora: RankDeficient:"), err
+        assert reason in err and err.endswith("(iteration 0, past warmup)\n")
+
     def test_stdout_output(self, capsys):
         code = run_cli(["mf", "--steps", "3", "--m", "8", "--n", "6",
                         "--rank", "2"])
@@ -331,6 +345,19 @@ class TestConfigFile:
         config.write_text("stepz = 10\n")
         assert run_cli(["mf", "--config", str(config)]) == 2
         assert "stepz" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        assert run_cli(["mf", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"reflora: error: --config: cannot read {config}:")
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("seed = 1\nsteps 3\n")
+        assert run_cli(["mf", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"reflora: error: --config: {config}:2: expected 'key = value'")
 
     @pytest.mark.parametrize("command", ["mf", "compare"])
     def test_config_weight_decay_needs_adaptive_optimizer(self, tmp_path,

@@ -188,11 +188,27 @@ class TestRunSpec:
     @pytest.mark.parametrize("step", [
         {"eta": 0.0}, {"method": "bogus"}, {"optimizer": "rmsprop"},
         {"weight_decay": 0.5},  # under the default gd
+        {"warmup_steps": -1}, {"method": "scaledgd", "optimizer": "adam"},
     ])
     def test_step_fields_checked_on_build(self, step):
         with pytest.raises(ValueError):
             RunSpec(**{"problem": "mf", "m": 8, "n": 6, "r": 2, "seed": 0,
                        "eta": 0.01, **step})
+
+    @pytest.mark.parametrize("fields,message", [
+        pytest.param({"problem": "bogus"}, "unknown problem 'bogus'",
+                     id="problem"),
+        pytest.param({"iterations": 0}, "iterations and log_every must be >= 1",
+                     id="iterations"),
+        pytest.param({"log_every": 0}, "iterations and log_every must be >= 1",
+                     id="log_every"),
+        pytest.param({"problem": "linreg", "k": 0}, "linreg needs k >= 1",
+                     id="linreg-k"),
+    ])
+    def test_run_fields_checked_on_build(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RunSpec(**{"problem": "mf", "m": 8, "n": 6, "r": 2, "seed": 0,
+                       "eta": 0.01, **fields})
 
     def test_is_a_step_config(self):
         assert issubclass(RunSpec, optim.StepConfig)
@@ -214,6 +230,40 @@ class TestRunSpec:
         spec = mf_spec(optimizer=optimizer, iterations=5)
         harness.run(spec)
         assert len(seen) == 5 and all(cfg is spec for cfg in seen)
+
+
+class TestStepErrors:
+    """A step error before divergence is re-raised; after it the run goes on
+    with raw GD arithmetic and never calls the stepper again."""
+
+    SPEC = dict(problem="mf", m=20, n=16, r=3, seed=1, eta=0.5,
+                method="reflora", iterations=20)
+
+    def test_error_after_divergence_falls_back_to_raw_gd(self, monkeypatch):
+        # the loss goes 75.3 -> 2641 -> 1.8e9 and the divergence latch trips
+        # at step 2; the stepper then raises RankDeficient at t = 5
+        calls, raised = [], []
+        step = optim.reflora_step
+
+        def recording(f, gp, cfg, state, t):
+            calls.append(t)
+            try:
+                return step(f, gp, cfg, state, t)
+            except RankDeficient:
+                raised.append(t)
+                raise
+
+        monkeypatch.setattr(optim, "reflora_step", recording)
+        res = harness.run(RunSpec(**self.SPEC))
+        assert res.diverged and res.diverged_step == 2
+        assert len(res.records) == 21
+        assert calls == [0, 1, 2, 3, 4, 5] and raised == [5]
+
+    def test_error_before_divergence_is_raised(self):
+        spec = RunSpec(**self.SPEC, warmup_steps=0, sigma_b=0.0)
+        with pytest.raises(RankDeficient,
+                           match=r"\(iteration 0, past warmup\)$"):
+            harness.run(spec)
 
 
 class TestLoraAdam:
@@ -271,6 +321,10 @@ class TestCompare:
         table = harness.compare([spec, spec])
         assert table.data[1] == table.data[1 + 7]  # loss columns agree
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="compare needs at least one spec"):
+            harness.compare([])
+
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ValueError):
             harness.compare([mf_spec(seed=0), mf_spec(seed=1)])
@@ -317,7 +371,7 @@ def _forbidden(*args, **kwargs):
     raise DenseWork("formed an m x n array")
 
 
-# every method/optimizer pair the CLI accepts
+# every method/optimizer pair StepConfig accepts
 CLI_PAIRS = ([(m, optim.GD) for m in optim.METHODS]
              + [(m, opt) for opt in (optim.ADAM, optim.ADAMW)
                 for m in (optim.METHOD_LORA, optim.METHOD_REFLORA,
@@ -430,6 +484,15 @@ class TestPeakMemory:
 
 
 class TestBoundScan:
+    @pytest.mark.parametrize("fields,message", [
+        pytest.param({"points": 1}, "points must be >= 2", id="points"),
+        pytest.param({"eta_min": 0.5, "eta_max": 0.5},
+                     "eta_min must be below eta_max", id="eta-range"),
+    ])
+    def test_spec_checked_on_build(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            BoundScanSpec(**fields)
+
     def test_grid_excludes_zero(self):
         spec = BoundScanSpec(points=101)
         grid = harness.eta_grid(spec)

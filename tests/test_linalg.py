@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reflora import linalg
-from reflora.errors import IllConditioned, NonSpdInput
+from reflora.errors import IllConditioned
 
 from conftest import gen, random_spd, rel_err
 
@@ -41,11 +41,17 @@ class TestSpdSqrt:
         assert rel_err(got @ got, SQRT_INPUT) <= 1e-10
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NonSpdInput):
+        with pytest.raises(ValueError, match="spd_sqrt input is not symmetric"):
             linalg.spd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError,
+                           match=r"spd_sqrt input is not square: shape \(2, 3\)"):
+            linalg.spd_sqrt(np.ones((2, 3)))
+
     def test_rejects_indefinite(self):
-        with pytest.raises(NonSpdInput):
+        with pytest.raises(ValueError,
+                           match="spd_sqrt input is not positive definite"):
             linalg.spd_sqrt(np.diag([1.0, -1.0]))
 
     def test_composition_many_dims(self):
@@ -83,7 +89,8 @@ class TestSpdInvSqrt:
             linalg.spd_inv_sqrt(np.diag([1.0, 1e-16]))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonSpdInput):
+        with pytest.raises(ValueError,
+                           match="spd_inv_sqrt input is not positive definite"):
             linalg.spd_inv_sqrt(np.diag([1.0, 0.0]))
 
 
@@ -117,7 +124,8 @@ class TestNonsymPsdSqrt:
             assert rel_err(rhs, lhs) <= 1e-9
 
     def test_rejects_non_spd_factor(self):
-        with pytest.raises(NonSpdInput):
+        with pytest.raises(ValueError, match="nonsym_psd_sqrt first factor "
+                           "is not positive definite"):
             linalg.nonsym_psd_sqrt(np.diag([1.0, -2.0]), np.eye(2))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reflora import linalg, optim, refactor
-from reflora.errors import RankDeficient, ZeroFactor
+from reflora.errors import RankDeficient
 from reflora.optim import GradientPair, OptimizerState, StepConfig
 from reflora.refactor import LowRankFactors, RefactorMode
 
@@ -155,16 +155,20 @@ class TestRefloraStep:
                 f_alt, pair_from_dense(f_alt, grad), cfg)[0])
             assert rel_err(dw_alt, dw) <= 1e-8
 
-    @pytest.mark.parametrize("method,error", [
-        pytest.param(optim.METHOD_REFLORA, RankDeficient, id="reflora"),
-        pytest.param(optim.METHOD_SCALEDGD, RankDeficient, id="scaledgd"),
-        pytest.param(optim.METHOD_REFLORA_S, ZeroFactor, id="reflora-s"),
+    @pytest.mark.parametrize("method,reason", [
+        pytest.param(optim.METHOD_REFLORA, "rank criterion", id="reflora"),
+        pytest.param(optim.METHOD_SCALEDGD, "rank criterion", id="scaledgd"),
+        pytest.param(optim.METHOD_REFLORA_S, "positive Frobenius norm",
+                     id="reflora-s"),
     ])
-    def test_warmup_fallback_then_error(self, rng, method, error):
+    def test_warmup_fallback_then_error(self, rng, method, reason):
         f = LowRankFactors(rng.standard_normal((5, 2)), np.zeros((4, 2)))
         grad = rng.standard_normal((5, 4))
         gp = pair_from_dense(f, grad)
-        for optimizer in (optim.GD, optim.ADAM):
+        # scaledgd is GD-only; StepConfig rejects it under Adam
+        optimizers = (optim.GD,) if method == optim.METHOD_SCALEDGD \
+            else (optim.GD, optim.ADAM)
+        for optimizer in optimizers:
             cfg = StepConfig(eta=0.1, method=method, optimizer=optimizer,
                              warmup_steps=1)
             state = OptimizerState.zeros(5, 4, 2)
@@ -173,7 +177,8 @@ class TestRefloraStep:
             assert np.array_equal(f_new.a, f.a)
             assert np.array_equal(f_new.b, f.b - 0.1 * gp.g_b)
             assert new_state is state
-            with pytest.raises(error):
+            with pytest.raises(RankDeficient,
+                               match=rf"{reason}.*\(iteration 1, past warmup\)$"):
                 optim.reflora_step(f, gp, cfg, state, t=1)
 
     def test_adam_path_preconditions_gradients(self, rng):
@@ -252,7 +257,8 @@ class TestRefloraSStep:
         f = LowRankFactors(rng.standard_normal((4, 1)), np.zeros((3, 1)))
         gp = pair_from_dense(f, rng.standard_normal((4, 3)))
         cfg = StepConfig(eta=0.1, method=optim.METHOD_REFLORA_S, warmup_steps=0)
-        with pytest.raises(ZeroFactor):
+        with pytest.raises(RankDeficient, match="both factors must have "
+                           "positive Frobenius norm"):
             optim.reflora_step(f, gp, cfg, t=5)
 
 
@@ -576,6 +582,25 @@ class TestUnitRescale:
             assert got.b.tobytes() == want_b.tobytes()
 
 
+class TestShapeChecks:
+    """Each shape check names the mismatch it found."""
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda f: GradientPair(np.ones((4, 2)), np.ones((4, 2)))
+                     .check_shapes(f), "do not match factors", id="check_shapes"),
+        pytest.param(lambda f: optim.delta_w(
+            f, LowRankFactors(np.ones((5, 2)), np.ones((5, 2)))),
+            "factor shapes changed", id="delta_w"),
+        pytest.param(lambda f: optim.horizontal_check(
+            f, (np.ones((5, 2)), np.ones((5, 2)))),
+            "update shapes do not match", id="horizontal_check"),
+    ])
+    def test_mismatch_rejected(self, rng, call, message):
+        f = random_factors(rng, 5, 4, 2)
+        with pytest.raises(ValueError, match=message):
+            call(f)
+
+
 class TestStepConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -584,6 +609,15 @@ class TestStepConfig:
             StepConfig(eta=0.1, method="sgd")
         with pytest.raises(ValueError):
             StepConfig(eta=0.1, optimizer="rmsprop")
+        with pytest.raises(ValueError, match="warmup_steps must be nonnegative"):
+            StepConfig(eta=0.1, warmup_steps=-1)
+
+    @pytest.mark.parametrize("optimizer", [optim.ADAM, optim.ADAMW])
+    def test_scaledgd_is_gd_only(self, optimizer):
+        # the library owns the rule the CLI's --optimizer check repeats
+        with pytest.raises(ValueError, match="scaledgd is a plain-GD baseline"):
+            StepConfig(eta=0.1, method=optim.METHOD_SCALEDGD,
+                       optimizer=optimizer)
 
     @pytest.mark.parametrize("optimizer,weight_decay", [
         (optim.GD, 0.5), (optim.ADAM, float("nan")), (optim.ADAMW, float("inf")),

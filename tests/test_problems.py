@@ -165,6 +165,16 @@ class TestMakeMf:
 
 
 class TestMakeLinreg:
+    @pytest.mark.parametrize("dims", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+    def test_invalid_dims(self, dims):
+        with pytest.raises(ValueError, match="invalid dims"):
+            problems.make_linreg(*dims, seed=0)
+
+    def test_sample_counts_must_agree(self):
+        inst = problems.LinRegInstance(np.ones((3, 4)), np.ones((2, 5)))
+        with pytest.raises(ValueError, match="X and Y sample counts differ"):
+            problems.LinearRegressionProblem(inst)
+
     def test_normal_equations_zero_gradient(self):
         problem, inst = problems.make_linreg(3, 4, 6, seed=2)
         w_star = inst.y @ np.linalg.pinv(inst.x)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from reflora import linalg, optim, props, refactor, rng
-from reflora.errors import (IllConditioned, InvalidEta, RankDeficient,
-                            ZeroFactor)
+from reflora.errors import IllConditioned, RankDeficient
 from reflora.optim import GradientPair, StepConfig
 from reflora.refactor import LowRankFactors, RefactorMode, THEOREM_EXACT
 
@@ -157,7 +156,7 @@ class TestOptimalS:
 
     def test_eta_zero_rejected(self, rng):
         f = random_factors(rng, 5, 4, 2)
-        with pytest.raises(InvalidEta):
+        with pytest.raises(ValueError, match="eta = 0 is a jump discontinuity"):
             refactor.optimal_s(refactor.balance(f),
                                0.0, RefactorMode(THEOREM_EXACT, 1.0))
 
@@ -205,7 +204,8 @@ class TestOptimalScalar:
 
     def test_zero_factor_rejected(self):
         f = LowRankFactors(np.ones((3, 1)), np.zeros((3, 1)))
-        with pytest.raises(ZeroFactor):
+        with pytest.raises(RankDeficient,
+                           match="both factors must have positive Frobenius norm"):
             refactor.optimal_scalar(f, 0.1, RefactorMode())
 
     def test_critical_point(self, rng):
@@ -251,6 +251,16 @@ class TestRefactorMode:
             with pytest.raises(ValueError, match="unknown refactor mode"):
                 refactor.RefactorMode(kind, lipschitz=1.0)
 
+    def test_bad_root_rejected(self):
+        with pytest.raises(ValueError, match="root choice must be 'plus' or "
+                           "'minus', got 'sideways'"):
+            refactor.RefactorMode(root="sideways")
+
+    @pytest.mark.parametrize("lipschitz", [None, 0.0, np.inf])
+    def test_theorem_exact_needs_lipschitz(self, lipschitz):
+        with pytest.raises(ValueError, match="finite positive lipschitz"):
+            refactor.RefactorMode(THEOREM_EXACT, lipschitz=lipschitz)
+
 
 class TestPublicApi:
     def test_every_export_resolves(self):
@@ -291,8 +301,25 @@ class TestGObjective:
         with pytest.raises(ValueError):
             refactor.g_objective(f, np.eye(3))
 
+    @pytest.mark.parametrize("s,message", [
+        pytest.param([[1.0, 0.5], [0.0, 1.0]], "S is not symmetric",
+                     id="asymmetric"),
+        pytest.param([[1.0, 0.0], [0.0, -1.0]], "S is not positive definite",
+                     id="indefinite"),
+    ])
+    def test_non_spd_rejected(self, rng, s, message):
+        f = random_factors(rng, 6, 4, 2)
+        with pytest.raises(ValueError, match=message):
+            refactor.g_objective(f, np.array(s))
+
 
 class TestUpperBoundEval:
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0])
+    def test_nonpositive_lipschitz_rejected(self, rng, lipschitz):
+        f = random_factors(rng, 5, 4, 2)
+        with pytest.raises(ValueError, match="lipschitz must be positive"):
+            refactor.upper_bound_eval(f, np.eye(2), 0.1, lipschitz, 1.0, 0.0)
+
     def test_eta_zero_returns_const(self, rng):
         f = random_factors(rng, 5, 4, 2)
         got = refactor.upper_bound_eval(f, np.eye(2), 0.0, 1.0, 3.0,
@@ -580,6 +607,8 @@ class TestLowRankFactors:
             LowRankFactors(np.ones((2, 3)), np.ones((4, 3)))
         with pytest.raises(ValueError, match="rank must be at least 1"):
             LowRankFactors(np.ones((3, 0)), np.ones((2, 0)))
+        with pytest.raises(ValueError, match="factors must be two-dimensional"):
+            LowRankFactors(np.ones(3), np.ones(2))
 
     def test_finite_validation(self):
         with pytest.raises(ValueError):
