@@ -137,7 +137,9 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
     Logs the state at step 0, every log_every-th step, and the final step.
     The diverged flag latches once the loss exceeds 1e6 times the initial
     loss or stops being finite; stepping continues so the divergent curve
-    is still recorded. `problem`, if given, must be the instance `spec`
+    is still recorded; a step that then fails with a `RefloraError` or
+    LAPACK's `LinAlgError` becomes a raw GD step, and any other error
+    propagates. `problem`, if given, must be the instance `spec`
     describes (as `compare` shares one); otherwise it is built here. Each
     step makes one `value_and_grad` call: the loss after step t and the
     gradient for step t + 1 are taken at the same factors.
@@ -178,7 +180,7 @@ def run(spec: RunSpec, problem: Optional[Problem] = None) -> RunResult:
             if not unchecked:
                 try:
                     f, state = optim.reflora_step(f, gp, spec, state, t)
-                except (RefloraError, ValueError, np.linalg.LinAlgError):
+                except (RefloraError, np.linalg.LinAlgError):
                     if not diverged:
                         raise
                     unchecked = True
@@ -287,7 +289,7 @@ def bound_scan(spec: BoundScanSpec) -> BoundScan:
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
     lip = problem.lipschitz
-    w0 = problem.full_weight(f)
+    w0 = f.product()
     loss_now = problem.loss(w0)
     g = problem.grad(w0)
     g_spec = spectral_norm(g)

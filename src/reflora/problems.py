@@ -10,8 +10,8 @@ never forms an m x n array. Matrix factorization keeps its target in
 factored form, Y = U_r diag(s_r) V_r^T, and works on the r x r projections
 of the factors onto U_r and V_r, at O((m + n) r^2) per call; linear
 regression works on the m x k residual, at O((m + n) r k). The dense
-`loss(w)`, `grad(w)` and `full_weight` remain as the reference the tests
-check the fused call against.
+`loss(w)` and `grad(w)` remain as the reference the tests check the fused
+call against; `Problem`'s docstring lists the interface.
 
 Each instance exists once, as the data dataclass `make_*` returns next to
 its problem: the problem is the loss over that instance and holds it as
@@ -67,42 +67,33 @@ class Problem:
 
     W = scale * A @ B.T is the adapter increment alone (no pretrained
     weight); `scale` is an optional multiplier, alpha / r in adapter
-    conventions and 1.0 in all desk-scale experiments.
+    conventions and 1.0 in all desk-scale experiments. A subclass sets
+
+    - `m`, `n`: the weight's shape;
+    - `lipschitz`: the exact gradient-Lipschitz constant of `loss`;
+
+    and defines
+
+    - `loss(w)`, `grad(w)`: the dense loss and gradient at an m x n W, the
+      reference the tests check the fused call against;
+    - `value_and_grad(f, scale=1.0)`: the loss at W = scale * A @ B.T and
+      the chain-rule factor gradients g_a = scale * grad(W) @ B and
+      g_b = scale * grad(W).T @ A, all at the same factors.
     """
 
-    def __init__(self, m: int, n: int, lipschitz: float):
-        self.m = m
-        self.n = n
-        self.lipschitz = lipschitz
-
-    def loss(self, w: Array) -> float:
-        raise NotImplementedError
-
-    def grad(self, w: Array) -> Array:
-        raise NotImplementedError
-
-    def full_weight(self, f: LowRankFactors, scale: float = 1.0) -> Array:
-        """The dense m x n weight W, for the dense reference path."""
-        return scale * f.product()
-
-    def value_and_grad(self, f: LowRankFactors, scale: float = 1.0
-                       ) -> tuple[float, GradientPair]:
-        """Loss at W = scale * A @ B.T and the chain-rule factor gradients
-        g_a = scale * grad(W) @ B and g_b = scale * grad(W).T @ A, all at
-        the same factors.
-        """
-        raise NotImplementedError
-
-    def loss_at_factors(self, f: LowRankFactors, scale: float = 1.0) -> float:
-        return self.value_and_grad(f, scale)[0]
+    def loss_at_factors(self, f: LowRankFactors) -> float:
+        """The fused call's loss at scale 1, kept for the benchmark."""
+        return self.value_and_grad(f)[0]
 
 
 class MatrixFactorizationProblem(Problem):
     """loss(W) = 0.5 * ||Y - W||_F^2, gradient W - Y, Lipschitz constant 1,
     over the target Y = U diag(sigma) V^T of `inst`."""
 
+    lipschitz = 1.0
+
     def __init__(self, inst: MfInstance):
-        super().__init__(inst.u.shape[0], inst.v.shape[0], lipschitz=1.0)
+        self.m, self.n = inst.u.shape[0], inst.v.shape[0]
         self.inst = inst
 
     def loss(self, w: Array) -> float:
@@ -152,9 +143,10 @@ class LinearRegressionProblem(Problem):
         x, y = inst.x, inst.y
         if y.shape[1] != x.shape[1]:
             raise ValueError("X and Y sample counts differ")
+        self.m, self.n = y.shape[0], x.shape[0]
         # X X^T and X^T X share their nonzero eigenvalues: take the smaller
-        super().__init__(y.shape[0], x.shape[0], lipschitz=linalg.spectral_norm(
-            x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x))
+        self.lipschitz = linalg.spectral_norm(
+            x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x)
         self.inst = inst
 
     def loss(self, w: Array) -> float:

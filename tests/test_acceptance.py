@@ -16,9 +16,7 @@ from reflora.harness import BoundScanSpec, RunSpec
 from reflora.optim import GradientPair, OptimizerState, StepConfig
 from reflora.refactor import LowRankFactors, RefactorMode, THEOREM_EXACT
 
-
-def gen(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from conftest import g_oracle, gen
 
 
 def report(num, desc, ok, detail=""):
@@ -26,15 +24,6 @@ def report(num, desc, ok, detail=""):
     tail = f" ({detail})" if detail else ""
     print(f"criterion {num:02d} {status} - {desc}{tail}")
     assert ok, f"criterion {num}: {desc}{tail}"
-
-
-def g_oracle(f, s):
-    """Explicit-root evaluation of the bound objective, independent of the
-    trace-based implementation path."""
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    s_half = (v * np.sqrt(w)) @ v.T
-    s_inv_half = (v / np.sqrt(w)) @ v.T
-    return float(np.sum((f.a @ s_half) ** 2) + np.sum((f.b @ s_inv_half) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +306,7 @@ def test_criterion_11_bound_scan_reproduction():
     f = problems.init_factors(2, 2, 1, seed=0, sigma_a=np.sqrt(10.0),
                               sigma_b=np.sqrt(0.1))
     lip = problem.lipschitz
-    grad = problem.grad(problem.full_weight(f))
+    grad = problem.grad(f.product())
     r_term = grad @ f.b @ (f.a.T @ grad)
     violations = 0
     worst_gap = -np.inf
@@ -395,15 +384,15 @@ def test_criterion_13_gradient_correctness():
             up, down = f.a.copy(), f.a.copy()
             up[i, j] += h
             down[i, j] -= h
-            fd = (problem.loss_at_factors(LowRankFactors(up, f.b))
-                  - problem.loss_at_factors(LowRankFactors(down, f.b))) / (2 * h)
+            fd = (problem.value_and_grad(LowRankFactors(up, f.b))[0]
+                  - problem.value_and_grad(LowRankFactors(down, f.b))[0]) / (2 * h)
             worst = max(worst, abs(gp.g_a[i, j] - fd) / max(1.0, abs(fd)))
             i, j = int(g.integers(problem.n)), int(g.integers(r))
             up, down = f.b.copy(), f.b.copy()
             up[i, j] += h
             down[i, j] -= h
-            fd = (problem.loss_at_factors(LowRankFactors(f.a, up))
-                  - problem.loss_at_factors(LowRankFactors(f.a, down))) / (2 * h)
+            fd = (problem.value_and_grad(LowRankFactors(f.a, up))[0]
+                  - problem.value_and_grad(LowRankFactors(f.a, down))[0]) / (2 * h)
             worst = max(worst, abs(gp.g_b[i, j] - fd) / max(1.0, abs(fd)))
     report(13, "factor gradients match central finite differences",
            worst <= 1e-5, f"worst {worst:.2e}")

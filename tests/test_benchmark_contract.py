@@ -4,15 +4,18 @@ perfbench/probe_setup.py times `problems.make_mf(m, n, r, seed)` /
 `problems.make_linreg(m, n, k, seed)` plus
 `problems.init_factors(m, n, r, seed, sigma_a, sigma_b)`, and
 perfbench/worker.py measures `problem.loss_at_factors(f)` on the result and
-drives `reflora.cli.main(argv)`. A refactor that changes any of these
-breaks the benchmark, so they are pinned here. perfbench/workloads.py
-checks each operation's output, including convergence of the members it
-marks; the mf-large and mf-small gates are pinned here too, so a change of
-the instance cannot break them unnoticed. perfbench/selftest.py, run before
-every benchmark run, requires a `reflora mf` run to execute
-`optim.reflora_step`.
+drives `reflora.cli.main(argv)`, and perfbench/layers.py wraps
+`LowRankFactors.is_full_rank` by name. A refactor that changes any of these
+breaks the benchmark, so they are pinned here; `loss_at_factors` and
+`is_full_rank` serve only the benchmark, so this file alone reads them.
+perfbench/workloads.py checks each operation's output, including
+convergence of the members it marks; the mf-large and mf-small gates are
+pinned here too, so a change of the instance cannot break them unnoticed.
+perfbench/selftest.py, run before every benchmark run, requires a
+`reflora mf` run to execute `optim.reflora_step`.
 """
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -24,7 +27,9 @@ import pytest
 
 from reflora import cli, optim, problems
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+BENCHMARK_ONLY = ("loss_at_factors", "is_full_rank")
 
 
 def load_perfbench(name):
@@ -60,6 +65,32 @@ def test_probe_setup_first_instance(instance):
     if instance[0] == "mf":
         # zero-init B: the loss is half the target's squared norm
         assert loss == pytest.approx(0.5 * np.sum(problem.inst.y ** 2), rel=1e-12)
+
+
+def test_loss_at_factors_is_the_fused_loss():
+    # the benchmark's loss is the loss the run loop reads, bit for bit
+    for problem, _ in (problems.make_mf(14, 11, 3, 45),
+                       problems.make_linreg(5, 6, 9, 45)):
+        for sigma_b in (0.0, 1.0):
+            f = problems.init_factors(problem.m, problem.n, 3, 45, 1.0, sigma_b)
+            assert problem.loss_at_factors(f) == problem.value_and_grad(f)[0]
+
+
+def benchmark_only_reads(path):
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in BENCHMARK_ONLY]
+
+
+def test_only_the_benchmark_reads_its_names():
+    # deleting the two names once the benchmark stops naming them must
+    # touch no library module and no other test
+    here = Path(__file__).resolve()
+    reads = [read for tree in ("src", "tests")
+             for path in sorted((ROOT / tree).rglob("*.py")) if path != here
+             for read in benchmark_only_reads(path)]
+    assert reads == []
+    assert benchmark_only_reads(here)
 
 
 def test_cli_main_returns_exit_code_and_writes_stdout():

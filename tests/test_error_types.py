@@ -3,7 +3,9 @@
 Every exception class in `errors.py` but the base `RefloraError` must be
 raised somewhere in the package, and every one must be listed in
 `reflora.__all__`. An error type nothing raises any more then fails the
-suite the way an unused import does. Stdlib parser only.
+suite the way an unused import does. Conversely the package raises nothing
+but `ValueError`, those types and the CLI's `UsageError`, so a stub that
+raises `NotImplementedError` fails it too. Stdlib parser only.
 """
 
 import ast
@@ -50,6 +52,12 @@ def test_every_error_type_is_raised():
     raised = set().union(*(raised_names(parse(p)) for p in SRC.glob("*.py")))
     unraised = ERRORS - {BASE} - raised
     assert not unraised, f"errors.py defines but nothing raises: {unraised}"
+
+
+def test_only_known_types_are_raised():
+    raised = set().union(*(raised_names(parse(p)) for p in SRC.glob("*.py")))
+    unknown = raised - ERRORS - {"ValueError", "UsageError"}
+    assert not unknown, f"the package raises types outside errors.py: {unknown}"
 
 
 def test_every_error_type_is_exported():

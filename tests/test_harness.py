@@ -63,7 +63,7 @@ class TestRun:
         cfg = optim.StepConfig(eta=0.1, method="lora")
         for _ in range(5):
             f, _ = optim.reflora_step(f, problem.value_and_grad(f)[1], cfg)
-            assert problem.loss_at_factors(f) == 0.0
+            assert problem.value_and_grad(f)[0] == 0.0
 
     def test_reflora_loss_decreases_after_warmup(self):
         res = harness.run(mf_spec())
@@ -259,6 +259,20 @@ class TestStepErrors:
         assert len(res.records) == 21
         assert calls == [0, 1, 2, 3, 4, 5] and raised == [5]
 
+    def test_value_error_after_divergence_propagates(self, monkeypatch):
+        # on the run path the stepper cannot raise ValueError, so one that
+        # reaches the handler is a programming error, not a step failure
+        step = optim.reflora_step
+
+        def broken(f, gp, cfg, state, t):
+            if t == 5:
+                raise ValueError("broken stepper")
+            return step(f, gp, cfg, state, t)
+
+        monkeypatch.setattr(optim, "reflora_step", broken)
+        with pytest.raises(ValueError, match="broken stepper"):
+            harness.run(RunSpec(**self.SPEC))
+
     def test_error_before_divergence_is_raised(self):
         spec = RunSpec(**self.SPEC, warmup_steps=0, sigma_b=0.0)
         with pytest.raises(RankDeficient,
@@ -390,7 +404,6 @@ class TestNoDenseWork:
 
     @pytest.fixture(autouse=True)
     def forbid_dense(self, monkeypatch):
-        monkeypatch.setattr(problems.Problem, "full_weight", _forbidden)
         monkeypatch.setattr(refactor.LowRankFactors, "product", _forbidden)
         for cls in (problems.MatrixFactorizationProblem,
                     problems.LinearRegressionProblem):
@@ -528,7 +541,7 @@ class TestBoundScan:
         problem, _ = problems.make_linreg(2, 2, 2, seed=0)
         f = problems.init_factors(2, 2, 1, seed=0, sigma_a=np.sqrt(10.0),
                                   sigma_b=np.sqrt(0.1))
-        loss_now = problem.loss_at_factors(f)
+        loss_now = problem.value_and_grad(f)[0]
         eta, true_loss = min(
             ((eta, loss) for eta, mode, loss in zip(
                 scan.eta, scan.mode, scan.true_loss) if mode == "identity"),
@@ -566,7 +579,7 @@ def reference_scan(spec):
     f = problems.init_factors(spec.m, spec.n, spec.r, spec.seed,
                               spec.sigma_a, spec.sigma_b)
     lip = problem.lipschitz
-    w0 = problem.full_weight(f)
+    w0 = f.product()
     g = problem.grad(w0)
     g_spec = float(np.linalg.svd(g, compute_uv=False)[0])
     r_term = g @ f.b @ (f.a.T @ g)

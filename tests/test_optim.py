@@ -8,7 +8,7 @@ from reflora.errors import RankDeficient
 from reflora.optim import GradientPair, OptimizerState, StepConfig
 from reflora.refactor import LowRankFactors, RefactorMode
 
-from conftest import gen, random_orthogonal, rel_err
+from conftest import gen, random_factors, random_orthogonal, rel_err
 
 # Frozen one-step oracles, computed in a separate scripting session with
 # explicit triple-loop matrix products (and a closed-form 2x2 inverse for
@@ -58,10 +58,6 @@ ADAM_TRACE_EXPECTED = [0.9491661843568154, 1.0386790917129516, 1.124787016909483
 
 def pair_from_dense(f, grad):
     return GradientPair(grad @ f.b, grad.T @ f.a)
-
-
-def random_factors(g, m, n, r):
-    return LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
 
 
 def gd_step(f, gp, eta, method=optim.METHOD_LORA):

@@ -16,7 +16,7 @@ from conftest import gen, rel_err
 def fd_grad_pair(problem, f, h=1e-6):
     """Central finite differences of the factor loss, entry by entry."""
     def loss_of(a, b):
-        return problem.loss_at_factors(LowRankFactors(a, b))
+        return problem.value_and_grad(LowRankFactors(a, b))[0]
 
     g_a = np.zeros_like(f.a)
     for i in range(f.a.shape[0]):
@@ -46,6 +46,18 @@ def draw_bidiagonal(stream, p, q):
     d = np.sqrt(stream.chisquare(np.arange(p, p - q, -1, dtype=float)))
     e = np.sqrt(stream.chisquare(np.arange(q - 1, 0, -1, dtype=float)))
     return d, e
+
+
+def leading_eigh(d, e, k):
+    """T = B^T B for the bidiagonal B with diagonal d and superdiagonal e,
+    as its diagonal a and off-diagonal b (b[k - 1] couples the leading
+    block T_k to the rest), and `np.linalg.eigh` of T_k."""
+    a = d * d
+    a[1:] += e * e
+    b = d[:-1] * e
+    lam, x = np.linalg.eigh(np.diag(a[:k]) + np.diag(b[:k - 1], 1)
+                            + np.diag(b[:k - 1], -1))
+    return a, b, lam, x
 
 
 # relative error bound per sigma against `bidiagonal_sigma_ref`, about 2x
@@ -140,14 +152,13 @@ class TestMakeMf:
         problem, inst = problems.make_mf(10, 8, 3, seed=5)
         u, s, vt = np.linalg.svd(inst.y, full_matrices=False)
         f = LowRankFactors(u[:, :3] * s[:3], vt[:3].T)
-        assert problem.loss_at_factors(f) <= 1e-20 * np.sum(inst.y ** 2)
-        w = problem.full_weight(f)
-        assert np.linalg.norm(problem.grad(w)) <= 1e-10
+        assert problem.value_and_grad(f)[0] <= 1e-20 * np.sum(inst.y ** 2)
+        assert np.linalg.norm(problem.grad(f.product())) <= 1e-10
 
     def test_zero_factor_loss(self):
         problem, inst = problems.make_mf(10, 8, 3, seed=5)
         f = LowRankFactors(np.zeros((10, 3)), np.zeros((8, 3)))
-        assert problem.loss_at_factors(f) == pytest.approx(
+        assert problem.value_and_grad(f)[0] == pytest.approx(
             0.5 * np.sum(inst.y ** 2))
 
     def test_default_instance(self):
@@ -155,7 +166,7 @@ class TestMakeMf:
         assert np.linalg.matrix_rank(inst.y) == 8
         f = problems.init_factors(128, 100, 8, seed=0)
         assert np.linalg.norm(f.b) == 0.0
-        assert problem.loss_at_factors(f) == pytest.approx(
+        assert problem.value_and_grad(f)[0] == pytest.approx(
             0.5 * np.sum(inst.y ** 2))
         assert problem.lipschitz == 1.0
 
@@ -185,7 +196,7 @@ class TestMakeLinreg:
             problems.LinRegInstance(np.eye(3), np.zeros((4, 3))))
         f = LowRankFactors(rng.standard_normal((4, 2)),
                            rng.standard_normal((3, 2)))
-        assert problem.loss_at_factors(f) == pytest.approx(
+        assert problem.value_and_grad(f)[0] == pytest.approx(
             0.5 * np.sum(f.product() ** 2))
 
     def test_lipschitz_is_top_eigenvalue(self):
@@ -232,7 +243,7 @@ class TestGradPair:
         f = LowRankFactors(rng.standard_normal((12, 3)),
                            rng.standard_normal((9, 3)))
         gp = problem.value_and_grad(f)[1]
-        g = problem.grad(problem.full_weight(f))
+        g = problem.grad(f.product())
         assert rel_err(gp.g_a, g @ f.b) < 1e-12
         assert rel_err(gp.g_b, g.T @ f.a) < 1e-12
 
@@ -257,8 +268,8 @@ class TestGradPair:
         up, down = f.a.copy(), f.a.copy()
         up[0, 0] += h
         down[0, 0] -= h
-        fd = (problem.loss_at_factors(LowRankFactors(up, f.b), scale)
-              - problem.loss_at_factors(LowRankFactors(down, f.b), scale)) / (2 * h)
+        fd = (problem.value_and_grad(LowRankFactors(up, f.b), scale)[0]
+              - problem.value_and_grad(LowRankFactors(down, f.b), scale)[0]) / (2 * h)
         assert gp.g_a[0, 0] == pytest.approx(fd, rel=1e-5)
 
 
@@ -304,7 +315,7 @@ class TestDeterminism:
 
 def dense_value_and_grad(problem, f, scale):
     """Oracle: the dense loss and gradient at the full weight."""
-    w = problem.full_weight(f, scale)
+    w = scale * f.product()
     g = problem.grad(w)
     return problem.loss(w), scale * (g @ f.b), scale * (g.T @ f.a)
 
@@ -342,11 +353,6 @@ class TestValueAndGrad:
             assert np.linalg.norm(gp.g_a - g_a) <= 1e-12 * np.linalg.norm(g_a)
             assert np.linalg.norm(gp.g_b - g_b) <= 1e-12 * np.linalg.norm(g_b)
 
-    def test_views_are_the_fused_call(self):
-        for problem, f, scale in self.cases():
-            loss, gp = problem.value_and_grad(f, scale)
-            assert problem.loss_at_factors(f, scale) == loss
-
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_exact_fit(self, scale):
         problem, inst = problems.make_mf(10, 8, 3, seed=5)
@@ -371,7 +377,7 @@ class TestValueAndGrad:
             for eps in (0.0, 1e-14, 1e-9):
                 a = f.a @ p + eps * g.standard_normal(f.a.shape)
                 b = f.b @ np.linalg.inv(p).T
-                assert problem.loss_at_factors(LowRankFactors(a, b)) >= 0.0
+                assert problem.value_and_grad(LowRankFactors(a, b))[0] >= 0.0
 
     def test_make_mf_factored_construction(self):
         # Y = U_r diag(sigma) V_r^T: sigma from the bidiagonal model drawn
@@ -456,16 +462,27 @@ class TestTopSingularValues:
 
     @pytest.mark.parametrize("p,q", [(1024, 1024), (2048, 512)])
     def test_truncation_matches_full_bidiagonal(self, monkeypatch, p, q):
-        # the reference is the SVD of all of B; the worst relative
-        # difference over these seeds was 4.3e-15 (OpenBLAS 0.3.31, two
-        # cores), from the dense SVD's normwise error at order 1024
-        full_svd = np.linalg.svd
-        calls = spy_linalg(monkeypatch)
+        # the reference is sqrt of the top eigenvalues of the leading block
+        # T_k of T = B^T B, k = min(512, q), from a dense eigh; for k < q
+        # eigh's own vectors certify it: each padded eigenpair has residual
+        # |b_{k-1}| |x_{k-1}| <= eps lam_1 in T (`_tail_certified` plays no
+        # part). The worst relative difference over these seeds was 8.0e-16
+        # (OpenBLAS 0.3.31, two cores); the reference was within 4.5e-15 of
+        # a dense SVD of all of B
+        eps = np.finfo(float).eps
+        k = min(512, q)
+        refs = []
         for seed in range(3):
+            d, e = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE), p, q)
+            _, b, lam, x = leading_eigh(d, e, k)
+            lam, last = lam[:-9:-1], x[-1, :-9:-1]
+            if k < q:
+                assert np.all(abs(b[k - 1]) * np.abs(last) <= eps * lam[0])
+            refs.append(np.sqrt(lam))
+        calls = spy_linalg(monkeypatch)
+        for seed, s in enumerate(refs):
             sigma = problems._top_singular_values(
                 rng_stream(seed, STREAM_INSTANCE), p, q, 8)
-            d, e = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE), p, q)
-            s = full_svd(np.diag(d) + np.diag(e, 1), compute_uv=False)[:8]
             assert np.max(np.abs(sigma - s) / s) <= 1e-13
         # the leading block sufficed: B itself was never solved
         blocks = [order for _, order, _ in calls]
@@ -480,12 +497,8 @@ class TestTopSingularValues:
         for seed in range(3):
             d, e = draw_bidiagonal(rng_stream(seed, STREAM_INSTANCE),
                                    1024, 1024)
-            a = d * d
-            a[1:] += e * e
-            b = d[:-1] * e
             for k in (64, 96, 128):
-                lam, x = np.linalg.eigh(np.diag(a[:k]) + np.diag(b[:k - 1], 1)
-                                        + np.diag(b[:k - 1], -1))
+                a, b, lam, x = leading_eigh(d, e, k)
                 lam, last = lam[:-9:-1], np.max(np.abs(x[-1, :-9:-1]))
                 for factor, verdict in ((1.01, False), (0.05, True)):
                     coupled = b.copy()

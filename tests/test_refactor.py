@@ -9,7 +9,7 @@ from reflora.errors import IllConditioned, RankDeficient
 from reflora.optim import GradientPair, StepConfig
 from reflora.refactor import LowRankFactors, RefactorMode, THEOREM_EXACT
 
-from conftest import gen, random_orthogonal, rel_err
+from conftest import g_oracle, gen, random_factors, random_orthogonal, rel_err
 
 # Frozen oracle: the stationarity equation S (A^T A) S = B^T B was solved
 # in a separate scripting session by eigendecomposing
@@ -28,19 +28,6 @@ GEO_B = np.array(
 GEO_EXPECTED = np.array(
     [[1.5801846972622222, 0.8688442519068259],
      [0.8688442519068259, 1.9775343063610924]])
-
-
-def random_factors(g, m, n, r):
-    return LowRankFactors(g.standard_normal((m, r)), g.standard_normal((n, r)))
-
-
-def g_oracle(f, s):
-    # direct evaluation of ||A S^{1/2}||_F^2 + ||B S^{-1/2}||_F^2 through
-    # an explicit eigendecomposition, independent of the trace-based path
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    s_half = (v * np.sqrt(w)) @ v.T
-    s_inv_half = (v / np.sqrt(w)) @ v.T
-    return float(np.sum((f.a @ s_half) ** 2) + np.sum((f.b @ s_inv_half) ** 2))
 
 
 class TestGeometricMean:
@@ -163,7 +150,8 @@ class TestOptimalS:
     def test_rank_deficient_kernel_result_rejected(self):
         # a deficient pair has no kernel result for optimal_s to take
         f = LowRankFactors(np.ones((4, 2)), np.arange(6.0).reshape(3, 2))
-        assert not f.is_full_rank()
+        with pytest.raises(RankDeficient):
+            refactor._r_factors(f)
         with pytest.raises(RankDeficient):
             refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
 
@@ -378,7 +366,9 @@ class TestKernelContract:
         gp = GradientPair(np.ones_like(f.a), np.ones_like(f.b))
         cfg = StepConfig(eta=0.01, method=optim.METHOD_REFLORA, warmup_steps=0)
         scaledgd = dataclasses.replace(cfg, method=optim.METHOD_SCALEDGD)
+        # the R-factor stage's verdict first, then every consumer of it
         consumers = [
+            lambda: refactor._r_factors(f),
             lambda: refactor.balance(f).s,
             lambda: refactor.optimal_s(refactor.balance(f),
                                        0.01, RefactorMode()).p_b,
@@ -388,7 +378,7 @@ class TestKernelContract:
             lambda: optim.reflora_step(f, gp, scaledgd, t=5),
             lambda: optim.horizontal_check(f, (gp.g_a, gp.g_b)),
         ]
-        full_rank = f.is_full_rank()
+        full_rank = rho >= 1e-7
         for consumer in consumers:
             if full_rank:
                 consumer()
@@ -397,7 +387,6 @@ class TestKernelContract:
                     consumer()
         if full_rank:
             assert stationarity(f, refactor.balance(f).s) <= 1e-8
-        assert full_rank == (rho >= 1e-7)
 
     @pytest.mark.parametrize("c", [1e100, 1e-100])
     def test_scale_covariance(self, c):
@@ -405,7 +394,7 @@ class TestKernelContract:
         f = random_factors(g, 9, 7, 3)
         scaled = LowRankFactors(c * f.a, c * f.b)
         k, k_c = refactor.balance(f), refactor.balance(scaled)
-        assert scaled.is_full_rank()
+        refactor._r_factors(scaled)
         assert rel_err(k_c.s, k.s) <= 1e-12
         assert rel_err(k_c.s_inv, k.s_inv) <= 1e-12
         assert k_c.c_tilde == pytest.approx(c * c * k.c_tilde, rel=1e-12)
@@ -451,7 +440,8 @@ class TestKernelContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = refactor.balance(f)
-            assert f.is_full_rank() and k.c_tilde == np.inf
+            refactor._r_factors(f)
+            assert k.c_tilde == np.inf
             assert rel_err(k.s, refactor.balance(f0).s) <= 1e-12
             assert refactor.balance(f).c_tilde == np.inf
             res = refactor.optimal_s(refactor.balance(f), 0.01, RefactorMode())
@@ -495,7 +485,7 @@ class TestKernelContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = refactor.balance(f)
-            assert f.is_full_rank()
+            refactor._r_factors(f)
             assert rel_err(k.s * (ca / cb), refactor.balance(f0).s) <= 1e-12
             with pytest.raises(IllConditioned):
                 optim.reflora_step(f, gp, scaledgd, t=5)
@@ -524,7 +514,7 @@ class TestKernelContract:
             warnings.simplefilter("error")
             for k in [*range(-525, -495), *range(495, 526)]:
                 f = LowRankFactors(np.ldexp(f0.a, k), np.ldexp(f0.b, -k))
-                assert f.is_full_rank()
+                refactor._r_factors(f)
                 grams_ok = normal(p0.p_b, -2 * k) and normal(p0.p_a, 2 * k)
                 s_ok = normal(k0.s, -2 * k) and normal(k0.s_inv, 2 * k)
                 if grams_ok:
@@ -630,13 +620,14 @@ class TestLowRankFactors:
 
     def test_full_rank_flag(self, rng):
         f = random_factors(rng, 6, 5, 2)
-        assert f.is_full_rank()
+        refactor._r_factors(f)
         tiny = LowRankFactors(np.hstack([f.a[:, :1], f.a[:, :1] * 1e-14]), f.b)
-        assert not tiny.is_full_rank()
+        with pytest.raises(RankDeficient):
+            refactor._r_factors(tiny)
 
     def test_full_rank_verdict_where_s_leaves_the_range(self, rng, monkeypatch):
         # S of (1e160 A, 1e-160 B) leaves the float range, but the verdict
-        # is the R-factor stage's: True, with no SVD
+        # is the R-factor stage's: full rank, with no SVD
         f0 = random_factors(rng, 9, 7, 3)
         f = LowRankFactors(1e160 * f0.a, 1e-160 * f0.b)
         with pytest.raises(IllConditioned):
@@ -648,4 +639,4 @@ class TestLowRankFactors:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert f.is_full_rank()
+            refactor._r_factors(f)
