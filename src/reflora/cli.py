@@ -237,19 +237,15 @@ def _check_flags(args: argparse.Namespace) -> None:
                          f"smallest of --dims, {min(args.dims)}")
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _resolved_config(args: argparse.Namespace) -> list[tuple[str, str]]:
     pairs = []
     for flag, *_ in _FLAGS[args.command]:
         value = getattr(args, flag.replace("-", "_"))
         if value is None:
             continue
-        pairs.append((flag, _fmt_value(value)))
+        # a value is written as a CSV cell of its type; a list flag as given
+        pairs.append((flag, harness.CELL_FORMATS.get(type(value), "%s")
+                      % value))
     return pairs
 
 

@@ -13,8 +13,7 @@ class RefloraError(Exception):
 class IllConditioned(RefloraError):
     """A result is not representable in floating point: a refactoring
     matrix S or S^-1, or a ScaledGD inverse Gram, outside the normal float
-    range (factor scales too far apart), or an SPD matrix whose eigenvalue
-    spread is too extreme for `linalg.spd_inv_sqrt` to invert safely."""
+    range (factor scales too far apart)."""
 
 
 class RankDeficient(RefloraError):

@@ -464,33 +464,27 @@ def overhead_probe(dims: Sequence[int], ranks: Sequence[int],
 # ---------------------------------------------------------------------------
 # CSV emission
 
+# a cell's text by its column type: ints exactly, strings as they are,
+# floats to 17 significant digits, which round-trip exactly
+CELL_FORMATS = {int: "%d", str: "%s", float: "%.17g"}
+
+
 def columns_of(rows: Sequence, names: Iterable[str]) -> list[list]:
     """Each named attribute of the rows, as one list per name."""
     return [[getattr(row, name) for row in rows] for name in names]
 
 
-def _column_text(kind: type, column: Sequence) -> Sequence[str]:
-    """Ints exactly, strings as they are, floats to 17 significant digits."""
-    if kind is str:
-        return column
-    if kind is int:
-        return list(map(str, map(int, column)))
-    text, last = [], object()
-    for value in column:
-        if value is not last:  # a repeated object is formatted once
-            last, cell = value, format(value, ".17g")
-        text.append(cell)
-    return text
-
-
 def write_csv(out: TextIO, columns: Mapping[str, type],
               data: Sequence[Sequence], header_lines: Sequence[str] = ()) -> None:
     """`# `-prefixed header lines, the column row, then one line per row:
-    `columns` maps name to cell type, `data` has one sequence per column."""
-    text = [_column_text(kind, column)
-            for kind, column in zip(columns.values(), data, strict=True)]
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    out.write(",".join(columns) + "\n")
-    for row in zip(*text, strict=True):
-        out.write(",".join(row) + "\n")
+    `columns` maps name to cell type, `data` has one sequence per column.
+    Each row goes through one template of the columns' `CELL_FORMATS`;
+    a name count unlike the column count, or a ragged column, is a
+    ValueError, raised before anything is written."""
+    if len(data) != len(columns):
+        raise ValueError(f"{len(data)} data columns for {len(columns)} names")
+    row = ",".join(CELL_FORMATS[kind] for kind in columns.values()) + "\n"
+    body = "".join([row % cells for cells in zip(*data, strict=True)])
+    out.write("".join(f"# {line}\n" for line in header_lines)
+              + ",".join(columns) + "\n")
+    out.write(body)

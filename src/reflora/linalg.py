@@ -7,15 +7,10 @@ through a symmetric eigendecomposition. All are pure float64 functions.
 
 import numpy as np
 
-from .errors import IllConditioned
-
 Array = np.ndarray
 
 # Relative symmetry / positivity tolerance used when validating SPD inputs.
 SPD_EPS = 1e-12
-# spd_inv_sqrt refuses eigenvalues below COND_EPS * lambda_max: raising
-# beats silently regularizing a matrix that is numerically singular.
-COND_EPS = 1e-14
 
 
 def sym(m: Array) -> Array:
@@ -66,19 +61,9 @@ def spd_sqrt(m: Array) -> Array:
 def spd_inv_sqrt(m: Array) -> Array:
     """Inverse square root of an SPD matrix: R with R @ m @ R = I.
 
-    Raises
-    ------
-    ValueError
-        If `m` fails the symmetry or positivity check.
-    IllConditioned
-        If lambda_min / lambda_max < 1e-14; inverting such a matrix would
-        mask a downstream full-rank violation.
+    Raises ValueError if `m` fails the symmetry or positivity check.
     """
     w, v = _spd_eigh(m, "spd_inv_sqrt input")
-    if w[0] < COND_EPS * w[-1]:
-        raise IllConditioned(
-            f"eigenvalue ratio {w[0] / w[-1]:.3e} below {COND_EPS:g}"
-        )
     return sym((v / np.sqrt(w)) @ v.T)
 
 

@@ -617,6 +617,40 @@ class TestOneSchema:
         assert len(expected) == 5  # header, steps 0, 5, 10 and 12
         assert untimed(cmp, "reflora-eta0.02.") == expected
 
+    def test_each_member_of_a_compare_equals_its_mf_run(self, tmp_path):
+        dims = ["--eta", "0.02", "--steps", "12", "--log-every", "5",
+                "--seed", "4", "--m", "12", "--n", "10", "--rank", "2"]
+        methods = ("lora", "reflora", "reflora-s", "scaledgd")
+        cmp = tmp_path / "cmp.csv"
+        assert run_cli(["compare", "--methods", ",".join(methods),
+                        "--etas", "0.02", *dims[2:], "--out", str(cmp)]) == 0
+        table = untimed(cmp)
+        for method in methods:
+            mf = tmp_path / f"{method}.csv"
+            assert run_cli(["mf", "--method", method, *dims,
+                            "--out", str(mf)]) == 0
+            prefix = f"{method}-eta0.02."
+            keep = [0] + [i for i, c in enumerate(table[0])
+                          if c.startswith(prefix)]
+            member = [[row[i] for i in keep] for row in table]
+            member[0] = [c.removeprefix(prefix) for c in member[0]]
+            assert member == untimed(mf)
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_sparse_log_rows_equal_the_dense_log_rows(self, tmp_path,
+                                                      optimizer):
+        argv = ["mf", "--method", "reflora", "--optimizer", optimizer,
+                "--eta", "0.02", "--steps", "30", "--seed", "4", "--m", "12",
+                "--n", "10", "--rank", "2"]
+        dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
+        assert run_cli(argv + ["--out", str(dense)]) == 0
+        assert run_cli(argv + ["--log-every", "7", "--out", str(sparse)]) == 0
+        rows = untimed(dense)
+        by_step = {row[0]: row for row in rows[1:]}
+        got = untimed(sparse)
+        assert [row[0] for row in got[1:]] == ["0", "7", "14", "21", "28", "30"]
+        assert got == [rows[0]] + [by_step[row[0]] for row in got[1:]]
+
 
 class TestCsvBody:
     """Each CLI body is the per-cell rule applied row by row to the
@@ -662,3 +696,29 @@ class TestCsvBody:
                         "2"], tmp_path)
         assert len(untimed(out)) == 5  # column row, steps 0, 5, 10 and 12
         assert untimed(out) == untimed(want)
+
+    def test_linreg(self, tmp_path):
+        records = harness.run(harness.RunSpec(
+            problem="linreg", m=2, n=2, k=2, r=1, seed=3, eta=0.05,
+            iterations=30, sigma_a=harness.LINREG_SIGMA_A,
+            sigma_b=harness.LINREG_SIGMA_B)).records
+        columns = harness.TRACE_COLUMNS
+        want = tmp_path / "want.csv"
+        want.write_text(reference_csv(
+            columns, zip(*harness.columns_of(records, columns))))
+        out = self.out(["linreg", "--steps", "30", "--seed", "3", "--eta",
+                        "0.05"], tmp_path)
+        assert len(untimed(out)) == 32  # column row, steps 0..30
+        assert untimed(out) == untimed(want)
+
+    def test_overhead(self, tmp_path):
+        # the timing columns are measurements; the rest is the probe's grid
+        rows = harness.overhead_probe([48], [2, 3])
+        columns = {"m": int, "n": int, "r": int, "method": str}
+        out = self.out(["overhead", "--dims", "48", "--ranks", "2,3"],
+                       tmp_path)
+        body = [line.split(",") for line in read_body(out).splitlines()]
+        assert len(body) == 9  # column row, 2 ranks x 4 methods
+        got = "".join(",".join(cells[:4]) + "\n" for cells in body)
+        assert got == reference_csv(columns,
+                                    zip(*harness.columns_of(rows, columns)))

@@ -170,6 +170,13 @@ class TestRun:
             harness.write_csv(io.StringIO(), {"a": int, "b": int},
                               [[1, 2], [3]])
 
+    @pytest.mark.parametrize("data", [[[1, 2]], [[1, 2], [3, 4], [5, 6]]])
+    def test_writer_rejects_a_column_count_unlike_the_names(self, data):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="data columns for 2 names"):
+            harness.write_csv(buf, {"a": int, "b": int}, data, ["hello"])
+        assert buf.getvalue() == ""
+
     def test_adapter_scale(self):
         # alpha = r is the factor-1 default; other values change the run
         base = dict(problem="mf", m=16, n=12, r=3, seed=1, method="reflora",

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reflora import linalg
-from reflora.errors import IllConditioned
 
 from conftest import gen, random_spd, rel_err
 
@@ -84,9 +83,10 @@ class TestSpdInvSqrt:
             rhs = np.linalg.inv(linalg.spd_sqrt(m))
             assert rel_err(lhs, rhs) <= 1e-9
 
-    def test_ill_conditioned_raises(self):
-        with pytest.raises(IllConditioned):
-            linalg.spd_inv_sqrt(np.diag([1.0, 1e-16]))
+    def test_near_singular_inverts(self):
+        # no conditioning guard: a spread of 1e16 inverts to working accuracy
+        got = linalg.spd_inv_sqrt(np.diag([1.0, 1e-16]))
+        assert rel_err(got, np.diag([1.0, 1e8])) <= 1e-15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError,
